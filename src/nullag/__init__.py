@@ -57,6 +57,7 @@ from .domain import (
     DEFAULT_DOMAIN,
     EPS_GUARD,
     Domain,
+    DomainExit,
     Guard,
     InfeasibleDomainError,
     STANDARD_FUNCTIONS,
@@ -92,7 +93,6 @@ from .construct import (
     build_nonstandard_null,
     build_null,
     harmonic,
-    nonstandard_harmonic,
     reconstruct_gauge,
     solve_C,
     weighted_B,
@@ -126,7 +126,6 @@ from .systems import (
     solve_gamma_displacement,
 )
 from .numint import (
-    DomainExit,
     DriftReport,
     IVP,
     NonFiniteState,

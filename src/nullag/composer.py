@@ -20,12 +20,13 @@ guarded in solve_leading.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .domain import DEFAULT_DOMAIN, Domain, Guard, collect_guards, sample_points
+from .domain import DEFAULT_DOMAIN, Domain, Guard, collect_guards, instantiation_rounds, point_function, sample_points
 from .equivalence import Verdict, equivalent
 from .expr import (
     Const,
@@ -42,7 +43,6 @@ from .expr import (
     apply_fn,
     as_coeff_factors,
     diff,
-    evaluate,
     mul,
     pow_,
     sub,
@@ -158,9 +158,9 @@ def compose(F: Composer, L: Lagrangian, *, check_feasible: bool = True, seed: in
                 b = pts[0]
                 witness = {
                     "point": {k: float(v) for k, v in b.jets.items()},
-                    "inner_value": float(evaluate(L.body, b)),
+                    "inner_value": float(point_function(L.body, b)(b)),
                 }
-            except ex.ExprError:
+            except (ex.ExprError, ArithmeticError, ValueError):
                 pass
             raise RangeGuardViolated(
                 f"range guard of {F.name} leaves no feasible points; witness {witness}"
@@ -317,20 +317,23 @@ def permissibility_check(
     """Check p_L * F''(L) does not vanish on the guarded domain.
 
     Returns "ok" when the factor stays bounded away from zero at every
-    sampled point, else "conditional" (the conservation rule then holds
-    only where the factor is nonzero)."""
+    sampled point of every instantiation round of the opaque functions,
+    else "conditional" (the conservation rule then holds only where the
+    factor is nonzero)."""
     body = pair.assembled().body
     factor = mul(momentum(body), F.deriv2(body))
     rng = random.Random(seed)
-    try:
-        points = sample_points([factor], pair.domain, n_points, rng, constants=constants)
-    except ex.ExprError:
-        return "conditional"
-    for b in points:
+    for funcs in instantiation_rounds(sorted(ex.func_names(factor))):
         try:
-            v = float(evaluate(factor, b))
-        except ex.EvaluationError:
+            points = sample_points([factor], pair.domain, n_points, rng, funcs=funcs, constants=constants)
+        except ex.ExprError:
             return "conditional"
-        if abs(v) <= eps:
-            return "conditional"
+        value = point_function(factor, points[0])
+        for b in points:
+            try:
+                v = abs(float(value(b)))
+            except (ArithmeticError, ValueError):
+                return "conditional"
+            if not eps < v < math.inf:
+                return "conditional"
     return "ok"

@@ -359,16 +359,6 @@ def build_nonstandard_null(
     return NullPair.certified(B, C, f, domain, seed=seed)
 
 
-def nonstandard_harmonic(base: NullPair, n: int, *, seed: int = 0) -> HarmonicLagrangian:
-    """Order-n harmonic of a fractional-family pair.
-
-    Same recursion body(n) = body(n-1) + total_dt(B_{n-1}) as `harmonic`;
-    for non-polynomial B the series never terminates, so the order cap
-    applies unchanged.
-    """
-    return harmonic(base, n, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # gauge reconstruction (partial converse of the gauge lift)
 

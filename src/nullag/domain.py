@@ -2,40 +2,41 @@
 
 A Domain is a closed box for x and t together with guard expressions that
 must stay nonzero (denominators) or positive (ln arguments) with a margin
-eps_guard.  Sampling rejects candidate points that violate any guard; the
-velocity box supplies values for xdot/xddot/xdddot and named constants are
-drawn away from zero so that generic nonvanishing factors stay generic.
+EPS_GUARD.  `guard_predicate` is the one check of guards: sampling,
+integration and the action quadrature all use it.  Sampling rejects
+candidate points that violate any guard; the velocity box supplies values
+for xdot/xddot/xdddot and named constants are drawn away from zero so that
+generic nonvanishing factors stay generic.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from . import expr as ex
-from .expr import Apply, Bindings, Expr, Power, Sum, Product, evaluate
+from .expr import EPS_GUARD, Apply, Bindings, ConstSym, Expr, Power, Sum, Product, compile_expr
 from .parser import parse
-
-EPS_GUARD = 1e-6
 
 
 class InfeasibleDomainError(ex.ExprError):
     """The sampler could not find guarded points in the domain box."""
 
 
+class DomainExit(ex.ExprError):
+    """A path or trajectory left the guarded domain; carries the exit time."""
+
+    def __init__(self, message: str, t: float):
+        super().__init__(message)
+        self.t = t
+
+
 @dataclass(frozen=True)
 class Guard:
     expr: Expr
     positive: bool = False
-
-    def holds(self, bindings: Bindings, eps_guard: float = EPS_GUARD) -> bool:
-        try:
-            v = float(evaluate(self.expr, bindings, eps_guard=eps_guard))
-        except ex.EvaluationError:
-            return False
-        if self.positive:
-            return v >= eps_guard
-        return abs(v) >= eps_guard
 
 
 @dataclass(frozen=True)
@@ -63,23 +64,18 @@ STANDARD_FUNCTIONS: tuple[Expr, ...] = (
 
 
 def collect_guards(e: Expr) -> tuple[Guard, ...]:
-    """Guards implied by the structure of e: ln arguments positive,
-    fractional-power bases positive, negative-power bases nonzero."""
-    found: dict[tuple, Guard] = {}
+    """Guards implied by the structure of e, repeats included: ln arguments
+    positive, fractional-power bases positive, negative-power bases nonzero."""
+    found: list[Guard] = []
 
     def walk(e: Expr) -> None:
         if isinstance(e, Apply):
             if e.func == "ln":
-                g = Guard(e.arg, positive=True)
-                found[(ex.sort_key(e.arg), True)] = g
+                found.append(Guard(e.arg, positive=True))
             walk(e.arg)
         elif isinstance(e, Power):
-            if e.exponent.denominator != 1:
-                found[(ex.sort_key(e.base), True)] = Guard(e.base, positive=True)
-            elif e.exponent < 0:
-                key = (ex.sort_key(e.base), False)
-                if (ex.sort_key(e.base), True) not in found and key not in found:
-                    found[key] = Guard(e.base)
+            if e.exponent < 0 or e.exponent.denominator != 1:
+                found.append(Guard(e.base, positive=e.exponent.denominator != 1))
             walk(e.base)
         elif isinstance(e, Sum):
             for t in e.terms:
@@ -89,7 +85,7 @@ def collect_guards(e: Expr) -> tuple[Guard, ...]:
                 walk(f)
 
     walk(e)
-    return tuple(found.values())
+    return tuple(found)
 
 
 def instantiation_rounds(names: list[str]) -> list[dict[str, Expr]]:
@@ -108,6 +104,42 @@ def instantiation_rounds(names: list[str]) -> list[dict[str, Expr]]:
     ]
 
 
+def guard_predicate(
+    guards: Iterable[Guard],
+    args: Iterable[str | ConstSym],
+    *,
+    funcs: dict[str, Expr] | None = None,
+    constants: dict[str, float] | None = None,
+) -> Callable[..., bool]:
+    """One predicate of args checking the guards and the structural guards
+    (collect_guards) inside their expressions: EPS_GUARD <= |g| < inf, or
+    EPS_GUARD <= g < inf for a positive guard.  An arithmetic error counts
+    as a failed guard.  This is the only place guards are evaluated."""
+    checks: dict[tuple, Guard] = {}  # one per expression; positive implies nonzero
+    pending = [Guard(ex.instantiate(g.expr, funcs), g.positive) for g in guards]
+    while pending:
+        g = pending.pop()
+        key = ex.sort_key(g.expr)
+        if key not in checks:
+            pending.extend(collect_guards(g.expr))
+        if key not in checks or g.positive:
+            checks[key] = g
+    args = tuple(args)
+    compiled = [(compile_expr(g.expr, args, constants=constants), g.positive) for g in checks.values()]
+
+    def holds(*values) -> bool:
+        try:
+            for fn, positive in compiled:
+                v = fn(*values)
+                if not EPS_GUARD <= (v if positive else abs(v)) < math.inf:
+                    return False
+        except (ArithmeticError, ValueError):
+            return False
+        return True
+
+    return holds
+
+
 def sample_points(
     exprs: list[Expr],
     domain: Domain,
@@ -116,7 +148,6 @@ def sample_points(
     *,
     funcs: dict[str, Expr] | None = None,
     constants: dict[str, float] | None = None,
-    eps_guard: float = EPS_GUARD,
     max_tries_per_point: int = 400,
 ) -> list[Bindings]:
     """Draw n guarded points for the free atoms of exprs.
@@ -124,31 +155,16 @@ def sample_points(
     Jets and t are drawn from the domain boxes, unbound named constants
     from +/-[0.5, 2], and each candidate is rejected unless every domain
     guard and every structural guard of the (instantiated) expressions
-    holds with margin eps_guard.
-    """
-    funcs = dict(funcs or {})
+    holds.  The points share funcs and the order of jet and constant names,
+    so `point_function` compiles an expression once for all of them."""
     constants = dict(constants or {})
     inst = [ex.instantiate(e, funcs) for e in exprs]
-    guards = list(domain.guards)
-    seen = {(ex.sort_key(g.expr), g.positive) for g in guards}
-    for e in inst:
-        for g in collect_guards(e):
-            key = (ex.sort_key(g.expr), g.positive)
-            if key not in seen:
-                seen.add(key)
-                guards.append(g)
-    guard_exprs = [ex.instantiate(g.expr, funcs) for g in guards]
-    everything = inst + guard_exprs
-    jet_names = (
-        sorted(set().union(*(ex.free_jets(e) for e in everything)) | {"t"})
-        if everything
-        else ["t"]
-    )
-    const_free = (
-        sorted(set().union(*(ex.const_names(e) for e in everything)) - set(constants))
-        if everything
-        else []
-    )
+    guards = [Guard(ex.instantiate(g.expr, funcs), g.positive) for g in domain.guards]
+    everything = inst + [g.expr for g in guards]
+    guards += [g for e in inst for g in collect_guards(e)]
+    jet_names = sorted(set().union({"t"}, *(ex.free_jets(e) for e in everything)))
+    const_free = sorted(set().union(*(ex.const_names(e) for e in everything)) - set(constants))
+    inside = guard_predicate(guards, (*jet_names, *map(ConstSym, (*constants, *const_free))))
 
     points: list[Bindings] = []
     tries = 0
@@ -166,12 +182,18 @@ def sample_points(
         consts = dict(constants)
         for name in const_free:
             consts[name] = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
-        b = Bindings(jets=jets, funcs=funcs, constants=consts)
-        if all(g.holds(b, eps_guard) for g in guards):
-            points.append(b)
+        if inside(*jets.values(), *consts.values()):
+            points.append(Bindings(jets=jets, funcs=funcs, constants=consts))
     if len(points) < n:
+        shown = list(dict.fromkeys(ex.to_string(g.expr) for g in guards))
         raise InfeasibleDomainError(
-            f"found only {len(points)}/{n} guarded sample points in {tries} tries; "
-            f"guards: {[ex.to_string(g.expr) for g in guards]}"
+            f"found only {len(points)}/{n} guarded sample points in {tries} tries; guards: {shown}"
         )
     return points
+
+
+def point_function(e: Expr, point: Bindings) -> Callable[[Bindings], float]:
+    """e compiled once for the points of one sample_points call; the result
+    takes any of those points.  Arithmetic errors propagate."""
+    fn = compile_expr(e, (*point.jets, *map(ConstSym, point.constants)), funcs=point.funcs)
+    return lambda b: fn(*b.jets.values(), *b.constants.values())

@@ -8,13 +8,14 @@ JSON-compatible and carry the seed, tolerances, and instantiations used.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 
 from . import expr as ex
-from .domain import DEFAULT_DOMAIN, Domain, instantiation_rounds, sample_points
-from .expr import Bindings, Expr, ZERO, evaluate, proven_zero, sub, to_string
+from .domain import DEFAULT_DOMAIN, Domain, instantiation_rounds, point_function, sample_points
+from .expr import Bindings, Expr, ZERO, proven_zero, sub, to_string
 
 N_EQ = 50
 EPS_EQ = 1e-9
@@ -93,11 +94,14 @@ def equivalent(
     max_diff = 0.0
     for funcs in rounds:
         points = sample_points([e1, e2], domain, n_points, rng, funcs=funcs, constants=constants)
+        f1, f2 = point_function(e1, points[0]), point_function(e2, points[0])
         for b in points:
             try:
-                v1 = float(evaluate(e1, b))
-                v2 = float(evaluate(e2, b))
-            except ex.EvaluationError:
+                v1 = float(f1(b))
+                v2 = float(f2(b))
+            except (ArithmeticError, ValueError):
+                continue
+            if not (math.isfinite(v1) and math.isfinite(v2)):
                 continue
             diff = abs(v1 - v2)
             max_diff = max(max_diff, diff)

@@ -25,6 +25,9 @@ Number = Union[int, float, Fraction]
 APPLY_FUNCS = ("exp", "ln", "sin", "cos", "abs")
 JET_NAMES = ("x", "xdot", "xddot", "xdddot", "t")
 
+# margin by which guarded quantities must stay away from their singular sets
+EPS_GUARD = 1e-6
+
 
 class ExprError(Exception):
     """Base class for symbolic-kernel errors."""
@@ -44,6 +47,10 @@ class UnboundSymbolError(EvaluationError):
 
 class GuardViolation(EvaluationError):
     """A denominator or ln argument came too close to its singular set."""
+
+
+class DivisionByZero(ExprError, ZeroDivisionError):
+    """Zero raised to a negative power while building an expression."""
 
 
 class Expr:
@@ -329,7 +336,7 @@ def pow_(base, exponent: Number) -> Expr:
     if isinstance(b, Const):
         if b.value == 0:
             if q < 0:
-                raise ZeroDivisionError("0 raised to a negative power")
+                raise DivisionByZero("0 raised to a negative power")
             return ZERO
         if b.value == 1:
             return ONE
@@ -555,29 +562,39 @@ def depends_on(e: Expr, sym: Expr) -> bool:
     return False
 
 
+def _rebuild(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild e through the canonicalizing constructors, mapping each atom
+    (Const, JetSym, ConstSym, FuncSym) through leaf."""
+    if isinstance(e, Sum):
+        return add(*(_rebuild(t, leaf) for t in e.terms))
+    if isinstance(e, Product):
+        return mul(*(_rebuild(f, leaf) for f in e.factors))
+    if isinstance(e, Power):
+        return pow_(_rebuild(e.base, leaf), e.exponent)
+    if isinstance(e, Apply):
+        return apply_fn(e.func, _rebuild(e.arg, leaf))
+    if isinstance(e, (Const, JetSym, ConstSym, FuncSym)):
+        return leaf(e)
+    raise TypeError(f"cannot rebuild {e!r}")
+
+
 def substitute(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
     """Replace exact atom occurrences and recanonicalize."""
-    if e in mapping:
-        return mapping[e]
-    if isinstance(e, (Const, JetSym, ConstSym, FuncSym)):
-        return e
-    if isinstance(e, Sum):
-        return add(*(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Product):
-        return mul(*(substitute(f, mapping) for f in e.factors))
-    if isinstance(e, Power):
-        return pow_(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Apply):
-        return apply_fn(e.func, substitute(e.arg, mapping))
-    raise TypeError(f"cannot substitute into {e!r}")
+    return _rebuild(e, lambda a: mapping.get(a, a))
 
 
-def instantiate(e: Expr, funcs: Mapping[str, Expr]) -> Expr:
+def instantiate(e: Expr, funcs: Mapping[str, Expr] | None) -> Expr:
     """Replace opaque functions by concrete expressions over t.
 
     FuncSym(name, k) becomes the k-th symbolic t-derivative of funcs[name].
     Names missing from the mapping are left opaque.
     """
+    if not funcs:
+        return e
+    for name, body in funcs.items():
+        bad = free_jets(body) - {"t"}
+        if bad:
+            raise ValueError(f"instantiation of {name!r} must depend on t only, found {sorted(bad)}")
     cache: dict[tuple[str, int], Expr] = {}
 
     def derived(name: str, order: int) -> Expr:
@@ -587,26 +604,12 @@ def instantiate(e: Expr, funcs: Mapping[str, Expr]) -> Expr:
             cache[(name, order)] = got
         return got
 
-    def walk(e: Expr) -> Expr:
-        if isinstance(e, FuncSym) and e.name in funcs:
-            return derived(e.name, e.order)
-        if isinstance(e, (Const, JetSym, ConstSym, FuncSym)):
-            return e
-        if isinstance(e, Sum):
-            return add(*(walk(t) for t in e.terms))
-        if isinstance(e, Product):
-            return mul(*(walk(f) for f in e.factors))
-        if isinstance(e, Power):
-            return pow_(walk(e.base), e.exponent)
-        if isinstance(e, Apply):
-            return apply_fn(e.func, walk(e.arg))
-        raise TypeError(f"cannot instantiate {e!r}")
+    def leaf(a: Expr) -> Expr:
+        if isinstance(a, FuncSym) and a.name in funcs:
+            return derived(a.name, a.order)
+        return a
 
-    for name, body in funcs.items():
-        bad = free_jets(body) - {"t"}
-        if bad:
-            raise ValueError(f"instantiation of {name!r} must depend on t only, found {sorted(bad)}")
-    return walk(e)
+    return _rebuild(e, leaf)
 
 
 def bind_constants(e: Expr, values: Mapping[str, Number]) -> Expr:
@@ -615,22 +618,9 @@ def bind_constants(e: Expr, values: Mapping[str, Number]) -> Expr:
 
 def canonicalize(e: Expr) -> Expr:
     """Rebuild an arbitrary tree through the canonicalizing constructors."""
-    if isinstance(e, Const):
-        v = e.value
-        if isinstance(v, int):
-            return Const(Fraction(v))
-        return e
-    if isinstance(e, (JetSym, ConstSym, FuncSym)):
-        return e
-    if isinstance(e, Sum):
-        return add(*(canonicalize(t) for t in e.terms))
-    if isinstance(e, Product):
-        return mul(*(canonicalize(f) for f in e.factors))
-    if isinstance(e, Power):
-        return pow_(canonicalize(e.base), e.exponent)
-    if isinstance(e, Apply):
-        return apply_fn(e.func, canonicalize(e.arg))
-    raise TypeError(f"cannot canonicalize {e!r}")
+    return _rebuild(
+        e, lambda a: Const(Fraction(a.value)) if isinstance(a, Const) and isinstance(a.value, int) else a
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +671,8 @@ def proven_zero(e: Expr) -> bool:
 
 class Bindings:
     """Numeric values for jets and named constants plus function
-    instantiations (expressions over t only).
-
-    Derivatives of instantiations are formed symbolically, cached per
-    (name, order), then evaluated numerically.  Treat instances as
-    immutable after construction.
-    """
+    instantiations (expressions over t only).  Treat instances as immutable
+    after construction."""
 
     def __init__(self, jets=None, funcs=None, constants=None, **jet_values):
         self.jets: dict[str, Number] = dict(jets or {})
@@ -696,17 +682,6 @@ class Bindings:
             self.jets[name] = v
         self.funcs: dict[str, Expr] = dict(funcs or {})
         self.constants: dict[str, Number] = dict(constants or {})
-        self._deriv_cache: dict[tuple[str, int], Expr] = {}
-
-    def derived(self, name: str, order: int) -> Expr:
-        got = self._deriv_cache.get((name, order))
-        if got is None:
-            if order == 0:
-                got = self.funcs[name]
-            else:
-                got = _diff(self.derived(name, order - 1), T)
-            self._deriv_cache[(name, order)] = got
-        return got
 
 
 def _exactify(v: Number) -> Number:
@@ -715,9 +690,10 @@ def _exactify(v: Number) -> Number:
     return v
 
 
-def evaluate(e: Expr, bindings: Bindings, eps_guard: float = 1e-6) -> Number:
+def evaluate(e: Expr, bindings: Bindings) -> Number:
     """Evaluate to a finite real; exact rational arithmetic is kept whenever
-    every input is rational and no transcendental node appears."""
+    every input is rational and no transcendental node appears.  The
+    tree-walking reference that tests hold compile_expr to."""
 
     def ev(e: Expr) -> Number:
         if isinstance(e, Const):
@@ -733,9 +709,7 @@ def evaluate(e: Expr, bindings: Bindings, eps_guard: float = 1e-6) -> Number:
             except KeyError:
                 raise UnboundSymbolError(f"named constant {e.name!r} is unbound") from None
         if isinstance(e, FuncSym):
-            if e.name not in bindings.funcs:
-                raise UnboundSymbolError(f"opaque function {e.name!r} has no instantiation")
-            return ev(bindings.derived(e.name, e.order))
+            raise UnboundSymbolError(f"opaque function {e.name!r} has no instantiation")
         if isinstance(e, Sum):
             acc: Number = Fraction(0)
             for t in e.terms:
@@ -749,7 +723,7 @@ def evaluate(e: Expr, bindings: Bindings, eps_guard: float = 1e-6) -> Number:
         if isinstance(e, Power):
             v = ev(e.base)
             q = e.exponent
-            if q < 0 and abs(v) < eps_guard:
+            if q < 0 and abs(v) < EPS_GUARD:
                 raise GuardViolation(f"denominator {to_string(e.base)} = {float(v):g} within guard margin")
             if q.denominator == 1:
                 if isinstance(v, Fraction):
@@ -779,7 +753,7 @@ def evaluate(e: Expr, bindings: Bindings, eps_guard: float = 1e-6) -> Number:
                 raise EvaluationError("overflow in elementary function") from None
         raise TypeError(f"cannot evaluate {e!r}")
 
-    result = ev(e)
+    result = ev(instantiate(e, bindings.funcs))
     if isinstance(result, float) and not math.isfinite(result):
         raise EvaluationError("evaluation produced a non-finite value")
     return result
@@ -787,6 +761,12 @@ def evaluate(e: Expr, bindings: Bindings, eps_guard: float = 1e-6) -> Number:
 
 # ---------------------------------------------------------------------------
 # compilation to plain Python floats (fast path for integrators/quadrature)
+
+
+def _param(atom: Expr) -> str:
+    """Python identifier of a compile argument.  Named constants get a prefix
+    no jet name has, so names such as math, lambda or xdot stay usable."""
+    return atom.name if isinstance(atom, JetSym) else f"c_{atom.name}"
 
 
 def _pysrc(e: Expr) -> str:
@@ -797,12 +777,8 @@ def _pysrc(e: Expr) -> str:
                 return f"({v.numerator})"
             return f"({v.numerator}/{v.denominator})"
         return f"({v!r})"
-    if isinstance(e, JetSym):
-        return e.name
-    if isinstance(e, ConstSym):
-        raise UnboundSymbolError(f"named constant {e.name!r} is unbound at compile time")
-    if isinstance(e, FuncSym):
-        raise UnboundSymbolError(f"opaque function {e.name!r} has no instantiation at compile time")
+    if isinstance(e, (JetSym, ConstSym)):
+        return _param(e)
     if isinstance(e, Sum):
         return "(" + " + ".join(_pysrc(t) for t in e.terms) + ")"
     if isinstance(e, Product):
@@ -811,7 +787,8 @@ def _pysrc(e: Expr) -> str:
         q = e.exponent
         if q.denominator == 1:
             return f"({_pysrc(e.base)})**({q.numerator})"
-        return f"({_pysrc(e.base)})**({q.numerator}/{q.denominator})"
+        # math.pow raises ValueError on a negative base instead of going complex
+        return f"math.pow({_pysrc(e.base)}, {q.numerator}/{q.denominator})"
     if isinstance(e, Apply):
         inner = _pysrc(e.arg)
         if e.func == "abs":
@@ -823,26 +800,27 @@ def _pysrc(e: Expr) -> str:
 
 def compile_expr(
     e: Expr,
-    args: Iterable[str] = ("x", "xdot", "t"),
+    args: Iterable[str | ConstSym] = ("x", "xdot", "t"),
     *,
     funcs: Mapping[str, Expr] | None = None,
     constants: Mapping[str, Number] | None = None,
 ) -> Callable[..., float]:
-    """Compile an expression to a float-returning Python function of args.
+    """Compile an expression to a float-returning Python function of args,
+    which are jet names or ConstSym atoms (named constants as arguments).
 
-    Opaque functions and named constants are substituted first; any atom
-    left over that is not in args raises UnboundSymbolError.
+    Opaque functions and the given constants are substituted first; any atom
+    left over that is not in args raises UnboundSymbolError.  Arithmetic
+    errors (ZeroDivisionError, OverflowError, ValueError) reach the caller.
     """
-    body = e
-    if funcs:
-        body = instantiate(body, funcs)
+    body = instantiate(e, funcs)
     if constants:
         body = bind_constants(body, constants)
-    args = tuple(args)
-    leftover = {a.name for a in free_atoms(body) if isinstance(a, JetSym)} - set(args)
+    params = [_JETS[a] if isinstance(a, str) else a for a in args]
+    leftover = free_atoms(body) - set(params)
     if leftover:
-        raise UnboundSymbolError(f"jets {sorted(leftover)} not among compile args {args}")
-    src = f"lambda {', '.join(args)}: {_pysrc(body)}"
+        names = sorted(to_string(a) for a in leftover)
+        raise UnboundSymbolError(f"{names} unbound at compile time; compile args are {params}")
+    src = f"lambda {', '.join(_param(a) for a in params)}: {_pysrc(body)}"
     return eval(src, {"math": math})  # noqa: S307 - internally generated source
 
 

@@ -18,22 +18,19 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import expr as ex
+from .domain import DomainExit, Guard, guard_predicate
 from .expr import Expr, compile_expr
 from .variational import NullPair
 
 EPS_DRIFT = 1e-7
 
 
-class DomainExit(ex.ExprError):
-    """A trajectory left the guarded domain; carries the exit time."""
+class NonFiniteState(ex.ExprError):
+    """Integration produced NaN or infinity; carries the step time."""
 
     def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
-
-
-class NonFiniteState(ex.ExprError):
-    """Integration produced NaN or infinity."""
 
 
 @dataclass(frozen=True)
@@ -41,8 +38,8 @@ class IVP:
     """Initial value problem xddot = g(x, xdot, t) on [t0, t1] with step h.
 
     g may be a compiled callable or an Expr (compiled with the given
-    constants/funcs).  Guards are callables (x, v, t) -> bool checked at
-    every accepted step.
+    constants/funcs).  Guards are checked, with the same constants/funcs,
+    at every accepted step.
     """
 
     g: Callable[[float, float, float], float] | Expr
@@ -53,7 +50,7 @@ class IVP:
     h: float
     constants: dict | None = None
     funcs: dict | None = None
-    guards: tuple[Callable[[float, float, float], bool], ...] = ()
+    guards: tuple[Guard, ...] = ()
 
     def __post_init__(self):
         if not self.h > 0:
@@ -104,8 +101,14 @@ def _rk4_step(g, t: float, x: float, v: float, h: float) -> tuple[float, float]:
 
 
 def integrate(ivp: IVP) -> Trajectory:
-    """Classical 4th-order fixed-step integration; local error O(h^5)."""
+    """Classical 4th-order fixed-step integration; local error O(h^5).
+
+    A step that leaves the guards or where the right-hand side is undefined
+    (ZeroDivisionError, ValueError) raises DomainExit; one that overflows
+    raises NonFiniteState.  Both carry the time at the end of that step."""
     g = ivp.right_side()
+    guards = ivp.guards
+    inside = guard_predicate(guards, ("x", "xdot", "t"), funcs=ivp.funcs, constants=ivp.constants)
     span = ivp.t1 - ivp.t0
     n_full = int(math.floor(span / ivp.h * (1.0 + 1e-12)))
     remainder = span - n_full * ivp.h
@@ -114,18 +117,22 @@ def integrate(ivp: IVP) -> Trajectory:
     xs = [ivp.x0]
     vs = [ivp.v0]
     t, x, v = ivp.t0, ivp.x0, ivp.v0
-    for k in range(n_full + (1 if has_partial else 0)):
-        h = ivp.h if k < n_full else remainder
-        x, v = _rk4_step(g, t, x, v, h)
-        t = ivp.t0 + (k + 1) * ivp.h if k < n_full else ivp.t1
-        if not (math.isfinite(x) and math.isfinite(v)):
-            raise NonFiniteState(f"state became non-finite at t={t:g}")
-        for guard in ivp.guards:
-            if not guard(x, v, t):
+    try:
+        for k in range(n_full + (1 if has_partial else 0)):
+            h = ivp.h if k < n_full else remainder
+            x, v = _rk4_step(g, t, x, v, h)
+            t = ivp.t0 + (k + 1) * ivp.h if k < n_full else ivp.t1
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise NonFiniteState(f"state became non-finite at t={t:g}", t)
+            if guards and not inside(x, v, t):
                 raise DomainExit(f"trajectory left the guarded domain at t={t:g}", t)
-        ts.append(t)
-        xs.append(x)
-        vs.append(v)
+            ts.append(t)
+            xs.append(x)
+            vs.append(v)
+    except OverflowError:
+        raise NonFiniteState(f"state overflowed in the step to t={t + h:g}", t + h) from None
+    except (ZeroDivisionError, ValueError) as err:
+        raise DomainExit(f"right-hand side undefined ({err}) in the step to t={t + h:g}", t + h) from None
     return Trajectory(np.asarray(ts), np.asarray(xs), np.asarray(vs), ivp.h)
 
 

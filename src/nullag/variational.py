@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable
 
 from . import expr as ex
-from .domain import DEFAULT_DOMAIN, Domain
+from .domain import DEFAULT_DOMAIN, Domain, DomainExit, guard_predicate
 from .equivalence import EquivalenceReport, Verdict, vanishes
 from .expr import (
     Expr,
@@ -40,10 +40,6 @@ ACTION_PANELS = 2000
 
 class NullCertificationFailed(ex.ExprError):
     """Construction-time certificate of nullity failed (internal bug guard)."""
-
-
-class DomainExitError(ex.ExprError):
-    """A path or trajectory left the guarded domain."""
 
 
 class NullVerdict(str, Enum):
@@ -288,17 +284,13 @@ def action(
     phi(x(t1), t1) - phi(x(t0), t0) up to quadrature error.
     """
     fn = compile_expr(L.body, ("x", "xdot", "t"), funcs=funcs, constants=constants)
-    guard_fns = [
-        (compile_expr(g.expr, ("x", "xdot", "t"), funcs=funcs, constants=constants), g.positive)
-        for g in L.domain.guards
-    ]
+    guards = L.domain.guards
+    inside = guard_predicate(guards, ("x", "xdot", "t"), funcs=funcs, constants=constants)
 
     def integrand(t: float) -> float:
         xv, vv = path.x(t), path.xdot(t)
-        for gf, positive in guard_fns:
-            gv = gf(xv, vv, t)
-            if (positive and gv < 1e-6) or (not positive and abs(gv) < 1e-6):
-                raise DomainExitError(f"path exits guarded domain at t={t:g}")
+        if guards and not inside(xv, vv, t):
+            raise DomainExit(f"path exits guarded domain at t={t:g}", t)
         return fn(xv, vv, t)
 
     value = _simpson(integrand, path.t0, path.t1, panels)

@@ -23,7 +23,7 @@ def _quiet_singularity_warnings():
 
 @pytest.fixture(scope="session")
 def corpus_pairs():
-    from nullag.corpus import all_pairs
+    from corpus import all_pairs
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=UserWarning)
@@ -32,6 +32,6 @@ def corpus_pairs():
 
 @pytest.fixture(scope="session")
 def gauge_corpus():
-    from nullag.corpus import gauge_examples
+    from corpus import gauge_examples
 
     return gauge_examples()

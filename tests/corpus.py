@@ -1,15 +1,15 @@
-"""Built-in catalog of generating functions, null pairs, and gauge
-functions used by the test suite, the demos, and the audit module."""
+"""Catalog of generating functions, null pairs, and gauge functions used
+by the test suite."""
 
 from __future__ import annotations
 
 import warnings
 
-from .construct import FractionSpec, build_nonstandard_null, build_null
-from .domain import DEFAULT_DOMAIN, Guard
-from .expr import ZERO, FuncSym
-from .parser import parse
-from .variational import GaugeFunction, NullPair
+from nullag.construct import FractionSpec, build_nonstandard_null, build_null
+from nullag.domain import DEFAULT_DOMAIN, Guard
+from nullag.expr import ZERO, FuncSym
+from nullag.parser import parse
+from nullag.variational import GaugeFunction, NullPair
 
 
 def linear_family(seed: int = 0) -> NullPair:

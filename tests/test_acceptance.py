@@ -36,7 +36,6 @@ from nullag import (
     momentum,
     mul,
     null_condition_residual,
-    nonstandard_harmonic,
     parse,
     path_independence_check,
     pow_,
@@ -77,7 +76,7 @@ def test_criterion_1_nullity_suite(corpus_pairs):
             h = harmonic(corpus_pairs[base], n)
             _assert_null(h.as_lagrangian(), f"{base} harmonic {n}")
     for base in ("fraction", "fraction_const"):
-        h = nonstandard_harmonic(corpus_pairs[base], 1)
+        h = harmonic(corpus_pairs[base], 1)
         _assert_null(h.as_lagrangian(), f"{base} harmonic 1")
     elapsed = time.time() - start
     assert elapsed < 10.0, f"nullity suite took {elapsed:.1f}s"

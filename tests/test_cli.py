@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nullag.cli import main
 
 
@@ -203,3 +205,17 @@ def test_reports_are_deterministic_given_seed(capsys):
     _, first, _ = run_json(capsys, "verify", "sin(x)*x'", "--seed", "5")
     _, second, _ = run_json(capsys, "verify", "sin(x)*x'", "--seed", "5")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--system", "inertia", "--ic", "0,1,0", "--t1", "1"),
+        ("simulate", "--system", "quadratic", "--a0", "1", "--ic", "0,0,-2", "--t1", "1"),
+        ("eom", "--B", "0", "--compose", "ln"),
+    ],
+)
+def test_arithmetic_failures_exit_2_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -30,7 +30,7 @@ from nullag import (
     total_dt,
 )
 from nullag.construct import build_null, harmonic
-from nullag.corpus import constant_family, exp_family, tied_family
+from corpus import constant_family, exp_family, tied_family
 
 
 def test_compose_identity_is_noop():
@@ -174,6 +174,11 @@ def test_permissibility_verdicts():
     assert permissibility_check(Composer.ln(), pair, constants=constants) == "ok"
     # identity has vanishing second derivative everywhere
     assert permissibility_check(Composer.identity(), pair, constants=constants) == "conditional"
+
+
+def test_permissibility_instantiates_opaque_functions():
+    pair = build_null(parse("f1(t)*x"))
+    assert permissibility_check(Composer.reciprocal(), pair) == "ok"
 
 
 def test_user_composer_from_expression():

@@ -22,7 +22,6 @@ from nullag import (
     harmonic,
     is_null,
     mul,
-    nonstandard_harmonic,
     null_condition_residual,
     parse,
     pow_,
@@ -33,7 +32,7 @@ from nullag import (
     weighted_B,
 )
 from nullag.construct import DenominatorVanishes
-from nullag.corpus import (
+from corpus import (
     fraction_constant_acceleration,
     fraction_family,
     linear_family,
@@ -164,7 +163,7 @@ def test_harmonic_of_constant_b_is_the_base():
 
 
 def test_harmonic_recursion_identity():
-    from nullag.corpus import quadratic_family
+    from corpus import quadratic_family
 
     for pair in (linear_family(), quadratic_family(), trig_exp_family()):
         previous = harmonic(pair, 0)
@@ -222,7 +221,7 @@ def test_fraction_spec_rejects_jet_coefficients():
 
 def test_nonstandard_harmonic_velocity_coefficient():
     pair = fraction_family()
-    h = nonstandard_harmonic(pair, 1)
+    h = harmonic(pair, 1)
     D = parse("f2(t)*x + f3(t)*t + f4(t)")
     expected = sub(mul(FuncSym("f1"), pow_(D, -1)), mul(FuncSym("f1"), FuncSym("f2"), pow_(D, -2)))
     assert proven_zero(sub(h.B_n, expected))
@@ -230,7 +229,7 @@ def test_nonstandard_harmonic_velocity_coefficient():
 
 def test_nonstandard_harmonic_of_constant_acceleration():
     pair = fraction_constant_acceleration()
-    h = nonstandard_harmonic(pair, 1)
+    h = harmonic(pair, 1)
     D = parse("a2*x + a4")
     expected = sub(mul(parse("a1"), pow_(D, -1)), mul(parse("a1*a2"), pow_(D, -2)))
     assert proven_zero(sub(h.B_n, expected))
@@ -239,13 +238,13 @@ def test_nonstandard_harmonic_of_constant_acceleration():
 
 def test_nonstandard_harmonic_order_zero_is_base():
     pair = fraction_family()
-    assert nonstandard_harmonic(pair, 0).body == pair.assembled().body
+    assert harmonic(pair, 0).body == pair.assembled().body
 
 
 def test_nonstandard_harmonics_stay_null_at_higher_orders():
     pair = fraction_family()
     for n in (2, 3):
-        h = nonstandard_harmonic(pair, n)
+        h = harmonic(pair, n)
         assert is_null(h.as_lagrangian()).verdict is NullVerdict.PROVEN_NULL, n
 
 

@@ -1,6 +1,7 @@
 """Expression kernel: parsing, canonicalization, differentiation,
 evaluation, and tri-state equivalence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from nullag import (
     partial,
     pow_,
     proven_zero,
+    sample_points,
     to_string,
     total_dt,
 )
@@ -287,6 +289,24 @@ def test_compile_expr_matches_evaluate():
     fn = compile_expr(e, constants={"a0": 0.8})
     b = Bindings(x=1.2, xdot=-0.4, t=0.9, constants={"a0": 0.8})
     assert fn(1.2, -0.4, 0.9) == pytest.approx(float(evaluate(e, b)), rel=1e-12)
+
+
+def test_compiled_fractional_power_of_negative_base_raises():
+    fn = compile_expr(parse("x^(1/2)"))
+    assert fn(4.0, 0.0, 0.0) == 2.0
+    with pytest.raises(ValueError):
+        fn(-2.0, 0.0, 0.0)
+
+
+def test_constants_named_like_python_or_jet_names():
+    e = parse("math*x + xdot*x' + lambda")
+    fn = compile_expr(e, ("x", "xdot", ConstSym("math"), ConstSym("xdot"), ConstSym("lambda")))
+    assert fn(1.0, 2.0, 3.0, 4.0, 5.0) == 3.0 + 8.0 + 5.0
+    points = sample_points([e], Domain(), 5, random.Random(0))
+    assert all({"math", "xdot", "lambda"} <= set(b.constants) for b in points)
+    padded = parse("x*math + x'*xdot + lambda + sin(t)^2 + cos(t)^2 - 1")
+    assert equivalent(e, padded).verdict is Verdict.NUMERICALLY_EQUAL
+    assert equivalent(e, parse("x*math + x'*math + lambda")).verdict is Verdict.DISTINCT
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import pytest
 
 from nullag import (
     DomainExit,
+    Guard,
     IVP,
     NonFiniteState,
     compare,
     drift,
     integrate,
     invariant_values,
+    parse,
     write_csv,
 )
 from nullag.systems import classify_constant
@@ -126,7 +128,7 @@ def test_compare_rejects_grid_mismatch():
 
 
 def test_domain_exit_carries_time():
-    guard = lambda x, v, t: x < 1.0
+    guard = Guard(parse("1 - x"), positive=True)
     with pytest.raises(DomainExit) as err:
         integrate(IVP(lambda x, v, t: 0.0, 0.0, 0.0, 2.0, 1.0, 0.1, guards=(guard,)))
     assert 0.4 < err.value.t < 0.7
@@ -136,6 +138,21 @@ def test_non_finite_state_detected():
     grow = lambda x, v, t: x * x * x * 1e60
     with pytest.raises(NonFiniteState):
         integrate(IVP(grow, 0.0, 10.0, 0.0, 2.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "g, x0, error",
+    [
+        ("1/x", 0.0, DomainExit),  # ZeroDivisionError at the first stage
+        ("ln(x)", -1.0, DomainExit),  # ValueError
+        ("x^(1/2)", -1.0, DomainExit),  # ValueError, not a complex value
+        ("-x'^2", 0.0, NonFiniteState),  # OverflowError of x'^2 near the blow-up at t = 1/2
+    ],
+)
+def test_right_side_arithmetic_errors_carry_the_step_time(g, x0, error):
+    with pytest.raises(error) as err:
+        integrate(IVP(parse(g), 0.0, x0, -2.0, 1.0, 1e-3))
+    assert 0.0 < err.value.t <= 0.51
 
 
 def test_csv_round_trip(tmp_path):

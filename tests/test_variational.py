@@ -67,7 +67,7 @@ def test_is_null_rejects_kinetic_energy_with_witness():
 
 
 def test_is_null_first_harmonic_of_linear_family():
-    from nullag.corpus import linear_family
+    from corpus import linear_family
     from nullag.construct import harmonic
 
     h = harmonic(linear_family(), 1)
@@ -157,7 +157,7 @@ def test_action_of_kinetic_energy_on_line():
 
 
 def test_action_of_certified_pair_telescopes_to_reconstructed_gauge():
-    from nullag.corpus import fraction_constant_acceleration
+    from corpus import fraction_constant_acceleration
     from nullag import reconstruct_gauge, compile_expr, bind_constants
 
     pair = fraction_constant_acceleration()
@@ -171,7 +171,7 @@ def test_action_of_certified_pair_telescopes_to_reconstructed_gauge():
 
 
 def test_path_independence_of_linear_family_instance():
-    from nullag.corpus import linear_family
+    from corpus import linear_family
 
     pair = linear_family()
     L = pair.assembled()
