@@ -35,7 +35,7 @@ from .construct import (
 )
 from .domain import Domain, Guard
 from .expr import ZERO, to_string
-from .numint import IVP, compare as compare_trajectories, drift, integrate, invariant_values, write_csv
+from .numint import IVP, compare as compare_trajectories, drift, integrate, write_csv
 from .parser import ParseError, parse
 from .systems import (
     ConstraintViolated,
@@ -103,6 +103,15 @@ def _parse_domain(args) -> Domain:
         positive = g.startswith("+")
         domain = domain.with_guards(Guard(parse(g.lstrip("+")), positive=positive))
     return domain
+
+
+def _number(text: str) -> ex.Expr:
+    """A numeric argument read with the expression grammar, so 0.2 is the
+    exact rational 1/5."""
+    value = parse(text)
+    if not isinstance(value, ex.Const):
+        raise ValueError(f"{text!r} is not a number")
+    return value
 
 
 def _pair_report(pair, seed: int) -> dict:
@@ -217,7 +226,8 @@ def _composer(name: str) -> Composer:
 def cmd_system(args) -> int:
     report = _base_report(args)
     if args.variant == "constant":
-        case = classify_constant(args.alpha, args.beta, args.gamma, seed=args.seed)
+        alpha, beta, gamma = (_number(v) for v in (args.alpha, args.beta, args.gamma))
+        case = classify_constant(alpha, beta, gamma, seed=args.seed)
     elif args.variant == "timedep":
         case = build_timedep(
             parse(args.beta1),
@@ -242,22 +252,21 @@ def cmd_system(args) -> int:
 
 _SIMULATABLE = {
     "inertia": lambda a: classify_constant(0, 0, 0),
-    "quadratic": lambda a: classify_constant(a.a0, 0, 0),
-    "tied": lambda a: classify_constant(0, a.beta0, a.beta0**2 / 4.0),
+    "quadratic": lambda a: classify_constant(_number(a.a0), 0, 0),
+    "tied": lambda a: classify_constant(0, _number(a.beta0), _number(a.beta0) ** 2 / 4),
 }
 
 
 def cmd_simulate(args) -> int:
     report = _base_report(args)
     case = _SIMULATABLE[args.system](args)
-    constants = {"B0": args.B0}
+    constants = {"B0": _number(args.B0)}
     t0, x0, v0 = (float(v) for v in args.ic.split(","))
     g = case.eom.explicit()
     traj = integrate(IVP(g, t0, x0, v0, args.t1, args.h, constants=constants))
-    values = invariant_values(case.null_pair, traj, constants=constants)
     rep = drift(case.null_pair, traj, eps=args.eps_drift, constants=constants)
     if args.csv:
-        write_csv(args.csv, traj, values)
+        write_csv(args.csv, traj, rep.values)
         report["csv"] = args.csv
     report["system"] = case.classification.value
     report["explicit"] = f"x'' = {to_string(g)}"
@@ -278,8 +287,9 @@ def cmd_compare(args) -> int:
     t0, x0, v0 = (float(v) for v in args.ic.split(","))
     trajectories = {}
     for route, eom in triple.routes(seed=args.seed).items():
-        g = eom.explicit()
-        trajectories[route] = integrate(IVP(g, t0, x0, v0, args.t1, args.h, constants=constants))
+        guards = eom.domain.guards + eom.guards()
+        ivp = IVP(eom.explicit(), t0, x0, v0, args.t1, args.h, constants=constants, guards=guards)
+        trajectories[route] = integrate(ivp)
     names = list(trajectories)
     deviations = {}
     worst = 0.0
@@ -368,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("system", help="catalog of dissipative systems with null Lagrangians")
     psub = p.add_subparsers(dest="variant", required=True)
     pc = psub.add_parser("constant", help="constant coefficients")
-    pc.add_argument("--alpha", type=float, required=True)
-    pc.add_argument("--beta", type=float, required=True)
-    pc.add_argument("--gamma", type=float, required=True)
+    pc.add_argument("--alpha", required=True)
+    pc.add_argument("--beta", required=True)
+    pc.add_argument("--gamma", required=True)
     _add_common(pc)
     pc.set_defaults(func=cmd_system, variant="constant")
     pt = psub.add_parser("timedep", help="time-dependent coefficients (alpha1 = 0 branch)")
@@ -389,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate a catalog system and monitor conservation")
     p.add_argument("--system", choices=sorted(_SIMULATABLE), required=True)
-    p.add_argument("--a0", type=float, default=1.0, help="quadratic-damping coefficient")
-    p.add_argument("--beta0", type=float, default=2.0, help="linear-damping coefficient")
-    p.add_argument("--B0", type=float, default=1.0, help="overall scale of the null pair")
+    p.add_argument("--a0", default="1", help="quadratic-damping coefficient")
+    p.add_argument("--beta0", default="2", help="linear-damping coefficient")
+    p.add_argument("--B0", default="1", help="overall scale of the null pair")
     p.add_argument("--ic", required=True, help="initial condition t0,x0,v0")
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--t1", type=float, required=True)

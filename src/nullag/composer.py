@@ -14,8 +14,9 @@ d/dt[L] = 0, independent of F.  Expanding that rule for an assembled pair
 
     B*xddot + (B_x*xdot + 2*B_t)*xdot + C_t*x + f'(t) = 0,
 
-kept as residual-plus-leading-coefficient; division by B is explicit and
-guarded in solve_leading.
+kept as residual-plus-leading-coefficient.  solve_leading clears the
+residual's denominators before dividing by its x'' coefficient, and each
+cleared base becomes a nonzero guard of the explicit form.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import expr as ex
 from .domain import DEFAULT_DOMAIN, Domain, Guard, collect_guards, instantiation_rounds, point_function, sample_points
@@ -139,7 +141,8 @@ def compose(F: Composer, L: Lagrangian, *, check_feasible: bool = True, seed: in
     """Lagrangian F(L.body); inherits L's guards plus F's range guard.
 
     Raises RangeGuardViolated when the range guard leaves no feasible
-    sample points, carrying a violating point as witness.
+    sample points in any instantiation round of the opaque functions,
+    carrying a violating point as witness.
     """
     domain = L.domain
     if F.range_positive:
@@ -149,22 +152,26 @@ def compose(F: Composer, L: Lagrangian, *, check_feasible: bool = True, seed: in
     composed = Lagrangian(F(L.body), domain)
     if check_feasible and (F.range_positive or F.range_nonzero):
         rng = random.Random(seed)
-        try:
-            sample_points([composed.body], domain, 5, rng)
-        except ex.ExprError:
-            witness = None
+        names = sorted(set().union(*(ex.func_names(g.expr) for g in domain.guards)))
+        rounds = instantiation_rounds(names)
+        for funcs in rounds:
             try:
-                pts = sample_points([L.body], L.domain, 1, rng)
-                b = pts[0]
-                witness = {
-                    "point": {k: float(v) for k, v in b.jets.items()},
-                    "inner_value": float(point_function(L.body, b)(b)),
-                }
-            except (ex.ExprError, ArithmeticError, ValueError):
-                pass
-            raise RangeGuardViolated(
-                f"range guard of {F.name} leaves no feasible points; witness {witness}"
-            ) from None
+                sample_points([composed.body], domain, 5, rng, funcs=funcs)
+            except ex.ExprError:
+                continue
+            return composed
+        witness = None
+        try:
+            b = sample_points([L.body], L.domain, 1, rng, funcs=rounds[0])[0]
+            witness = {
+                "point": {k: float(v) for k, v in b.jets.items()},
+                "inner_value": float(point_function(L.body, b)(b)),
+            }
+        except (ex.ExprError, ArithmeticError, ValueError):
+            pass
+        raise RangeGuardViolated(
+            f"range guard of {F.name} leaves no feasible points; witness {witness}"
+        )
     return composed
 
 
@@ -182,8 +189,19 @@ class EquationOfMotion:
     provenance: str
     domain: Domain = DEFAULT_DOMAIN
 
+    @cached_property
+    def cleared(self) -> tuple[Expr, tuple[Expr, ...]]:
+        """The residual with its denominators cleared, and the cleared bases."""
+        return ex.clear_denominators(self.residual)
+
     def explicit(self) -> Expr:
         return solve_leading(self)
+
+    def guards(self) -> tuple[Guard, ...]:
+        """Nonzero guards on the bases cleared before solving for x''.  With
+        domain.guards they keep the zero set of explicit() that of the
+        residual."""
+        return tuple(Guard(b) for b in self.cleared[1])
 
     def __str__(self) -> str:
         return f"{to_string(self.residual)} = 0"
@@ -296,13 +314,17 @@ def harmonic_eom(h, *, verify: bool = True, seed: int = 0) -> EquationOfMotion:
 
 
 def solve_leading(eom: EquationOfMotion) -> Expr:
-    """Explicit form xddot = g(x, xdot, t) = -(residual - leading*xddot)/leading."""
-    if eom.leading == ZERO:
+    """Explicit form xddot = -(rest)/lead of the residual with its
+    denominators cleared, where lead is its x'' coefficient; the cleared
+    bases are eom.guards()."""
+    cleared, bases = eom.cleared
+    leading = xddot_coefficient(cleared) if bases else eom.leading
+    if leading == ZERO:
         raise LeadingCoefficientVanishes("residual has no x'' term")
-    rest = sub(eom.residual, mul(eom.leading, XDDOT))
+    rest = sub(cleared, mul(leading, XDDOT))
     if ex.depends_on(rest, XDDOT):
         raise LeadingCoefficientVanishes("residual is not linear in x''")
-    return mul(Const(Fraction(-1)), rest, pow_(eom.leading, -1))
+    return mul(Const(Fraction(-1)), rest, pow_(leading, -1))
 
 
 def permissibility_check(

@@ -627,8 +627,9 @@ def canonicalize(e: Expr) -> Expr:
 # zero proving
 
 
-def clear_denominators(e: Expr) -> Expr:
-    """Multiply through by the common denominator of all negative powers."""
+def _clear_round(e: Expr) -> tuple[Expr, list[Expr]]:
+    """Multiply through by the common denominator of all negative powers;
+    also returns the bases that were cleared."""
     terms = e.terms if isinstance(e, Sum) else (e,)
     need: dict[tuple, list] = {}
     for term in terms:
@@ -643,26 +644,32 @@ def clear_denominators(e: Expr) -> Expr:
                 elif req > entry[1]:
                     entry[1] = req
     if not need:
-        return e
+        return e, []
     # Multiply term by term with raw Power nodes so exponents merge against
     # the negative powers before any sum base gets expanded.
     pieces = [Power(b, q) for b, q in need.values()]
-    return add(*(mul(term, *pieces) for term in terms))
+    return add(*(mul(term, *pieces) for term in terms)), [b for b, _ in need.values()]
+
+
+def clear_denominators(e: Expr) -> tuple[Expr, tuple[Expr, ...]]:
+    """Clear negative powers for up to three rounds (until nothing changes).
+
+    Returns the cleared expression and the bases it was multiplied by; the
+    two expressions share their zero set where every base is nonzero."""
+    bases: list[Expr] = []
+    for _ in range(3):
+        e2, cleared = _clear_round(e)
+        if e2 == e:
+            break
+        bases += cleared
+        e = e2
+    return e, tuple(bases)
 
 
 def proven_zero(e: Expr) -> bool:
     """Sound, incomplete zero test: canonical zero or zero after clearing
     denominators of the guarded rational structure."""
-    if e == ZERO:
-        return True
-    for _ in range(3):
-        e2 = clear_denominators(e)
-        if e2 == ZERO:
-            return True
-        if e2 == e:
-            return False
-        e = e2
-    return False
+    return e == ZERO or clear_denominators(e)[0] == ZERO
 
 
 # ---------------------------------------------------------------------------

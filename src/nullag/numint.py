@@ -103,12 +103,15 @@ def _rk4_step(g, t: float, x: float, v: float, h: float) -> tuple[float, float]:
 def integrate(ivp: IVP) -> Trajectory:
     """Classical 4th-order fixed-step integration; local error O(h^5).
 
-    A step that leaves the guards or where the right-hand side is undefined
+    An initial state outside the guards raises DomainExit at t0.  A step
+    that leaves the guards or where the right-hand side is undefined
     (ZeroDivisionError, ValueError) raises DomainExit; one that overflows
     raises NonFiniteState.  Both carry the time at the end of that step."""
     g = ivp.right_side()
     guards = ivp.guards
     inside = guard_predicate(guards, ("x", "xdot", "t"), funcs=ivp.funcs, constants=ivp.constants)
+    if guards and not inside(ivp.x0, ivp.v0, ivp.t0):
+        raise DomainExit(f"initial state lies outside the guarded domain at t={ivp.t0:g}", ivp.t0)
     span = ivp.t1 - ivp.t0
     n_full = int(math.floor(span / ivp.h * (1.0 + 1e-12)))
     remainder = span - n_full * ivp.h

@@ -281,7 +281,9 @@ def action(
     """Composite-Simpson value of the action integral along the path.
 
     For a certified null Lagrangian with gauge function phi this equals
-    phi(x(t1), t1) - phi(x(t0), t0) up to quadrature error.
+    phi(x(t1), t1) - phi(x(t0), t0) up to quadrature error.  A panel point
+    outside the guards or where the integrand is undefined raises DomainExit
+    with its time; overflow raises EvaluationError.
     """
     fn = compile_expr(L.body, ("x", "xdot", "t"), funcs=funcs, constants=constants)
     guards = L.domain.guards
@@ -291,7 +293,12 @@ def action(
         xv, vv = path.x(t), path.xdot(t)
         if guards and not inside(xv, vv, t):
             raise DomainExit(f"path exits guarded domain at t={t:g}", t)
-        return fn(xv, vv, t)
+        try:
+            return fn(xv, vv, t)
+        except OverflowError:
+            raise ex.EvaluationError(f"action integrand overflowed at t={t:g}") from None
+        except (ZeroDivisionError, ValueError) as err:
+            raise DomainExit(f"action integrand undefined ({err}) at t={t:g}", t) from None
 
     value = _simpson(integrand, path.t0, path.t1, panels)
     if not math.isfinite(value):

@@ -1,9 +1,11 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+import nullag.numint
 from nullag.cli import main
 
 
@@ -219,3 +221,69 @@ def test_arithmetic_failures_exit_2_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+INERTIA_NONSTANDARD = "1/(C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2))"
+
+
+def test_eom_reports_keep_residual_and_leading(capsys):
+    _, report, _ = run_json(capsys, "eom", "--L", "1/(x'*exp(a0*x) + 1)")
+    assert report["eom"]["residual"] == (
+        "2*x''*exp(2*x*a0)*(1 + x'*exp(x*a0))^(-3) + 2*a0*exp(2*x*a0)*x'^2*(1 + x'*exp(x*a0))^(-3)"
+    )
+    assert report["eom"]["leading"] == "2*exp(2*x*a0)*(1 + x'*exp(x*a0))^(-3)"
+    assert report["eom"]["explicit"] == "x'' = -a0*x'^2"
+    _, report, _ = run_json(capsys, "eom", "--B", "B0*exp(a0*x)", "--compose", "reciprocal")
+    assert report["eom"]["residual"] == "2*x''*exp(-x*a0)/x'^3/B0 + 2*a0*exp(-x*a0)/x'/B0"
+    assert report["eom"]["leading"] == "2*exp(-x*a0)/x'^3/B0"
+    _, report, _ = run_json(capsys, "eom", "--L", INERTIA_NONSTANDARD)
+    digests = {k: hashlib.sha256(report["eom"][k].encode()).hexdigest()[:16] for k in ("residual", "leading")}
+    assert digests == {"residual": "7ad300737be1aa60", "leading": "0db27fb6e10aba02"}
+    assert report["eom"]["explicit"] == "x'' = 0"
+
+
+def test_quadratic_compare_starting_on_the_guard_exits_2(capsys):
+    # x' * exp(a0*x) + 1 = 0 at x = 0, x' = -1: the nonstandard route's guard
+    code, _, err = run(capsys, "compare", "--system", "quadratic", "--ic", "0,0,-1", "--t1", "1")
+    assert code == 2
+    assert err.startswith("error: ") and "guarded domain at t=0" in err
+
+
+@pytest.mark.parametrize("beta, gamma", [("0.2", "0.01"), ("0.1", "0.0025")])
+def test_system_constant_reads_exact_decimals(capsys, beta, gamma):
+    code, report, _ = run_json(
+        capsys, "system", "constant", "--alpha", "0", "--beta", beta, "--gamma", gamma
+    )
+    assert code == 0
+    assert report["system"]["classification"] == "DampedOscillatorTied"
+
+
+def test_simulate_tied_gamma_is_exact(capsys):
+    code, report, _ = run_json(
+        capsys, "simulate", "--system", "tied", "--beta0", "0.2", "--ic", "0,1,0", "--t1", "0.1"
+    )
+    assert code == 0
+    assert report["explicit"] == "x'' = -1/5*x' - 1/100*x"
+
+
+def test_simulate_non_number_is_an_input_error(capsys):
+    code, _, err = run(capsys, "simulate", "--system", "quadratic", "--a0", "x", "--ic", "0,0,1", "--t1", "1")
+    assert code == 3
+    assert err.startswith("input error: ")
+
+
+def test_simulate_compiles_the_invariant_once(capsys, tmp_path, monkeypatch):
+    compiled = []
+    original = nullag.numint.compile_expr
+
+    def counting(e, *args, **kwargs):
+        compiled.append(e)
+        return original(e, *args, **kwargs)
+
+    monkeypatch.setattr(nullag.numint, "compile_expr", counting)
+    code, _, _ = run(
+        capsys, "simulate", "--system", "quadratic", "--ic", "0,0,2", "--t1", "0.1",
+        "--csv", str(tmp_path / "traj.csv"),
+    )
+    assert code == 0
+    assert len(compiled) == 2  # the right-hand side and L_null

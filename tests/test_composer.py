@@ -187,3 +187,28 @@ def test_user_composer_from_expression():
     assert compose(F, L).body == parse("c1^2*x'^2 + c1*x'")
     assert F.deriv1(parse("c1*x'")) == parse("2*c1*x' + 1")
     assert F.deriv2(parse("c1*x'")) == parse("2")
+
+
+def test_compose_instantiates_opaque_functions():
+    composed = compose(Composer.ln(), Lagrangian(parse("f1(t)*x' + 5")))
+    assert composed.body == parse("ln(f1(t)*x' + 5)")
+
+
+@pytest.mark.parametrize(
+    "make_eom",
+    [
+        lambda: eom_from_lagrangian(Lagrangian(parse("1/(x'*exp(a0*x) + 1)"))),
+        lambda: eom_from_lagrangian(Lagrangian(parse("x'^2/x"))),
+        lambda: composed_eom(Composer.reciprocal(), build_null(parse("x*t + x^2")).assembled()),
+        lambda: composed_eom(Composer.ln(), build_null(parse("x/t")).assembled()),
+        lambda: composed_eom(Composer.reciprocal(), build_null(parse("1/(x + t)")).assembled()),
+        lambda: conservation_eom(tied_family()),
+    ],
+)
+def test_cleared_explicit_form_equals_the_uncleared_quotient(make_eom):
+    eom = make_eom()
+    rest = sub(eom.residual, mul(eom.leading, parse("x''")))
+    quotient = mul(-1, rest, pow_(eom.leading, -1))
+    domain = eom.domain.with_guards(*eom.guards())
+    rep = equivalent(eom.explicit(), quotient, domain, constants={"a0": 1.0, "B0": 1.0, "b0": 2.0})
+    assert rep.verdict is not Verdict.DISTINCT, rep.witness

@@ -134,6 +134,13 @@ def test_domain_exit_carries_time():
     assert 0.4 < err.value.t < 0.7
 
 
+def test_initial_state_outside_guards_exits_at_t0():
+    # the first step moves x off 0, so only a check at t0 sees the violation
+    with pytest.raises(DomainExit) as err:
+        integrate(IVP(lambda x, v, t: 0.0, 0.0, 0.0, 1.0, 1.0, 0.1, guards=(Guard(parse("x")),)))
+    assert err.value.t == 0.0
+
+
 def test_non_finite_state_detected():
     grow = lambda x, v, t: x * x * x * 1e60
     with pytest.raises(NonFiniteState):

@@ -9,6 +9,7 @@ from nullag import (
     ConstraintViolated,
     DEFAULT_COMPARISON_CONSTANTS,
     Domain,
+    Guard,
     IntegralUnsupported,
     NullVerdict,
     Verdict,
@@ -29,8 +30,9 @@ from nullag import (
     proven_zero,
     solve_gamma_displacement,
     sub,
+    to_string,
 )
-from nullag.expr import X
+from nullag.expr import Apply, Power, Product, Sum, X
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +290,57 @@ def test_tied_nonstandard_is_inverse_of_null_at_unit_scale():
 def test_unknown_comparison_system():
     with pytest.raises(ValueError):
         comparison_catalog("pendulum")
+
+
+# x'' = explicit() of every route: the residual with its denominators cleared,
+# solved for x''; constants stay symbolic
+GOLDEN_EXPLICIT = {
+    ("inertia", "standard"): "0",
+    ("inertia", "nonstandard"): "0",
+    ("inertia", "null"): "0",
+    ("quadratic", "standard"): "-a0*x'^2",
+    ("quadratic", "nonstandard"): "-a0*x'^2",
+    ("quadratic", "null"): "-a0*x'^2",
+    ("tied", "standard"): "-x'*b0 - 1/4*x*b0^2",
+    ("tied", "nonstandard"): "-x'*b0 - 1/4*x*b0^2",
+    ("tied", "null"): "-x'*b0 - 1/4*x*b0^2",
+}
+RHS_NODE_BUDGET = 10
+
+
+def _node_count(e) -> int:
+    if isinstance(e, Sum):
+        children = e.terms
+    elif isinstance(e, Product):
+        children = e.factors
+    elif isinstance(e, Power):
+        children = (e.base,)
+    elif isinstance(e, Apply):
+        children = (e.arg,)
+    else:
+        children = ()
+    return 1 + sum(map(_node_count, children))
+
+
+@pytest.mark.parametrize("name", ["inertia", "quadratic", "tied"])
+def test_comparison_explicit_forms_are_cleared(name):
+    for route, eom in comparison_catalog(name).routes().items():
+        assert to_string(eom.explicit()) == GOLDEN_EXPLICIT[(name, route)], route
+
+
+@pytest.mark.parametrize("name", ["inertia", "quadratic", "tied"])
+def test_comparison_right_sides_stay_within_node_budget(name):
+    for route, eom in comparison_catalog(name).routes().items():
+        bound = bind_constants(eom.explicit(), DEFAULT_COMPARISON_CONSTANTS)
+        assert _node_count(bound) <= RHS_NODE_BUDGET, (route, to_string(bound))
+
+
+def test_cleared_factors_become_nonzero_guards():
+    inertia = comparison_catalog("inertia").routes()
+    quadratic = comparison_catalog("quadratic").routes()
+    assert inertia["nonstandard"].guards() == (
+        Guard(parse("C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2)")),
+    )
+    assert quadratic["nonstandard"].guards() == (Guard(parse("x'*exp(a0*x) + 1")),)
+    for routes in (inertia, quadratic):
+        assert routes["standard"].guards() == routes["null"].guards() == ()

@@ -7,6 +7,8 @@ import pytest
 
 from nullag import (
     Domain,
+    DomainExit,
+    EvaluationError,
     GaugeFunction,
     Guard,
     Lagrangian,
@@ -259,3 +261,14 @@ def test_null_condition_iff_null_lagrangian(corpus_pairs):
     assert not proven_zero(null_condition_residual(B, C))
     body = add(mul(B, parse("x'")), mul(C, parse("x")))
     assert not proven_zero(euler_lagrange_residual(Lagrangian(body)))
+
+
+def test_action_maps_undefined_integrand_to_domain_exit():
+    with pytest.raises(DomainExit) as err:
+        action(Lagrangian(parse("1/x")), line_path(0.0, 1.0, -0.5, 0.5), panels=10)
+    assert err.value.t == 0.5
+
+
+def test_action_maps_overflow_to_evaluation_error():
+    with pytest.raises(EvaluationError):
+        action(Lagrangian(parse("exp(x)")), line_path(0.0, 1.0, 0.0, 1000.0), panels=10)
