@@ -25,7 +25,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import expr as ex
 from .domain import DEFAULT_DOMAIN, Domain, Guard, collect_guards, instantiation_rounds, point_function, sample_points
@@ -52,6 +51,7 @@ from .expr import (
     to_string,
     total_dt,
 )
+from .numint import IVP
 from .variational import Lagrangian, NullCertificationFailed, NullPair, euler_lagrange_residual, momentum
 
 _SLOT = ConstSym("_lambda_")
@@ -189,19 +189,19 @@ class EquationOfMotion:
     provenance: str
     domain: Domain = DEFAULT_DOMAIN
 
-    @cached_property
-    def cleared(self) -> tuple[Expr, tuple[Expr, ...]]:
-        """The residual with its denominators cleared, and the cleared bases."""
-        return ex.clear_denominators(self.residual)
-
     def explicit(self) -> Expr:
         return solve_leading(self)
 
     def guards(self) -> tuple[Guard, ...]:
-        """Nonzero guards on the bases cleared before solving for x''.  With
-        domain.guards they keep the zero set of explicit() that of the
-        residual."""
-        return tuple(Guard(b) for b in self.cleared[1])
+        """The guards that go with explicit(): the domain guards plus those
+        of the residual's structure (collect_guards), which keep every base
+        that solve_leading clears nonzero, so the zero set of explicit() is
+        that of the residual."""
+        return self.domain.guards + collect_guards(self.residual)
+
+    def ivp(self, t0: float, x0: float, v0: float, t1: float, h: float, *, constants=None) -> IVP:
+        """The initial value problem of explicit() under guards()."""
+        return IVP(self.explicit(), t0, x0, v0, t1, h, constants=constants, guards=self.guards())
 
     def __str__(self) -> str:
         return f"{to_string(self.residual)} = 0"
@@ -315,10 +315,10 @@ def harmonic_eom(h, *, verify: bool = True, seed: int = 0) -> EquationOfMotion:
 
 def solve_leading(eom: EquationOfMotion) -> Expr:
     """Explicit form xddot = -(rest)/lead of the residual with its
-    denominators cleared, where lead is its x'' coefficient; the cleared
-    bases are eom.guards()."""
-    cleared, bases = eom.cleared
-    leading = xddot_coefficient(cleared) if bases else eom.leading
+    denominators cleared, where lead is its x'' coefficient; eom.guards()
+    keeps the cleared bases nonzero."""
+    cleared = ex.clear_denominators(eom.residual)
+    leading = xddot_coefficient(cleared)
     if leading == ZERO:
         raise LeadingCoefficientVanishes("residual has no x'' term")
     rest = sub(cleared, mul(leading, XDDOT))

@@ -627,49 +627,39 @@ def canonicalize(e: Expr) -> Expr:
 # zero proving
 
 
-def _clear_round(e: Expr) -> tuple[Expr, list[Expr]]:
-    """Multiply through by the common denominator of all negative powers;
-    also returns the bases that were cleared."""
-    terms = e.terms if isinstance(e, Sum) else (e,)
-    need: dict[tuple, list] = {}
-    for term in terms:
-        _, factors = as_coeff_factors(term)
-        for f in factors:
-            if isinstance(f, Power) and f.exponent < 0:
-                key = sort_key(f.base)
-                entry = need.get(key)
-                req = -f.exponent
-                if entry is None:
-                    need[key] = [f.base, req]
-                elif req > entry[1]:
-                    entry[1] = req
-    if not need:
-        return e, []
-    # Multiply term by term with raw Power nodes so exponents merge against
-    # the negative powers before any sum base gets expanded.
-    pieces = [Power(b, q) for b, q in need.values()]
-    return add(*(mul(term, *pieces) for term in terms)), [b for b, _ in need.values()]
+def clear_denominators(e: Expr) -> Expr:
+    """Multiply through by the common denominator of all negative powers,
+    repeated (at most three rounds) until none is left at the top level.
 
-
-def clear_denominators(e: Expr) -> tuple[Expr, tuple[Expr, ...]]:
-    """Clear negative powers for up to three rounds (until nothing changes).
-
-    Returns the cleared expression and the bases it was multiplied by; the
-    two expressions share their zero set where every base is nonzero."""
-    bases: list[Expr] = []
+    Where every negative-power base of e is nonzero (collect_guards) the
+    result has the zero set of e."""
     for _ in range(3):
-        e2, cleared = _clear_round(e)
-        if e2 == e:
+        terms = e.terms if isinstance(e, Sum) else (e,)
+        need: dict[tuple, list] = {}
+        for term in terms:
+            _, factors = as_coeff_factors(term)
+            for f in factors:
+                if isinstance(f, Power) and f.exponent < 0:
+                    key = sort_key(f.base)
+                    entry = need.get(key)
+                    req = -f.exponent
+                    if entry is None:
+                        need[key] = [f.base, req]
+                    elif req > entry[1]:
+                        entry[1] = req
+        if not need:
             break
-        bases += cleared
-        e = e2
-    return e, tuple(bases)
+        # Multiply term by term with raw Power nodes so exponents merge against
+        # the negative powers before any sum base gets expanded.
+        pieces = [Power(b, q) for b, q in need.values()]
+        e = add(*(mul(term, *pieces) for term in terms))
+    return e
 
 
 def proven_zero(e: Expr) -> bool:
     """Sound, incomplete zero test: canonical zero or zero after clearing
     denominators of the guarded rational structure."""
-    return e == ZERO or clear_denominators(e)[0] == ZERO
+    return e == ZERO or clear_denominators(e) == ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,9 @@ def test_quadratic_compare_starting_on_the_guard_exits_2(capsys):
     assert err.startswith("error: ") and "guarded domain at t=0" in err
 
 
-@pytest.mark.parametrize("beta, gamma", [("0.2", "0.01"), ("0.1", "0.0025")])
+@pytest.mark.parametrize(
+    "beta, gamma", [("0.2", "0.01"), ("0.1", "0.0025"), ("1e-1", "25e-4"), (".2", "1/100")]
+)
 def test_system_constant_reads_exact_decimals(capsys, beta, gamma):
     code, report, _ = run_json(
         capsys, "system", "constant", "--alpha", "0", "--beta", beta, "--gamma", gamma
@@ -266,8 +268,9 @@ def test_simulate_tied_gamma_is_exact(capsys):
     assert report["explicit"] == "x'' = -1/5*x' - 1/100*x"
 
 
-def test_simulate_non_number_is_an_input_error(capsys):
-    code, _, err = run(capsys, "simulate", "--system", "quadratic", "--a0", "x", "--ic", "0,0,1", "--t1", "1")
+@pytest.mark.parametrize("a0", ["x", "inf", "nan", "1/0"])
+def test_simulate_non_number_is_an_input_error(capsys, a0):
+    code, _, err = run(capsys, "simulate", "--system", "quadratic", "--a0", a0, "--ic", "0,0,1", "--t1", "1")
     assert code == 3
     assert err.startswith("input error: ")
 

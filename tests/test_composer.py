@@ -1,9 +1,13 @@
 """Composed Lagrangians and equation-of-motion derivations."""
 
+import dataclasses
+
 import pytest
 
 from nullag import (
     Composer,
+    DomainExit,
+    Guard,
     Lagrangian,
     LeadingCoefficientVanishes,
     NullCertificationMissing,
@@ -19,6 +23,7 @@ from nullag import (
     equivalent,
     euler_lagrange_residual,
     harmonic_eom,
+    integrate,
     momentum,
     mul,
     parse,
@@ -209,6 +214,17 @@ def test_cleared_explicit_form_equals_the_uncleared_quotient(make_eom):
     eom = make_eom()
     rest = sub(eom.residual, mul(eom.leading, parse("x''")))
     quotient = mul(-1, rest, pow_(eom.leading, -1))
-    domain = eom.domain.with_guards(*eom.guards())
+    domain = dataclasses.replace(eom.domain, guards=eom.guards())
     rep = equivalent(eom.explicit(), quotient, domain, constants={"a0": 1.0, "B0": 1.0, "b0": 2.0})
     assert rep.verdict is not Verdict.DISTINCT, rep.witness
+
+
+def test_fractional_power_base_stays_positive_under_the_cleared_form():
+    # x^(-1/2) is cleared by x^(1/2): the explicit form is defined for x < 0,
+    # the residual is not, so guards() keeps x positive
+    eom = eom_from_lagrangian(Lagrangian(parse("x'^2*x^(1/2)")))
+    assert eom.explicit() == parse("-1/4*x'^2/x")
+    assert Guard(parse("x"), positive=True) in eom.guards()
+    with pytest.raises(DomainExit) as err:
+        integrate(eom.ivp(0.0, -1.0, 1.0, 1.0, 0.1))
+    assert err.value.t == 0.0
