@@ -35,19 +35,19 @@ from .construct import (
     reconstruct_gauge,
 )
 from .domain import Domain, Guard
+from .equivalence import EPS_EQ
 from .expr import ZERO, to_string
-from .numint import compare as compare_trajectories, drift, integrate, write_csv
+from .numint import EPS_DRIFT, compare as compare_trajectories, drift, integrate, write_csv
 from .parser import ParseError, parse
 from .systems import (
     ConstraintViolated,
     DEFAULT_COMPARISON_CONSTANTS,
-    IntegralUnsupported,
     build_displacement,
     build_timedep,
     classify_constant,
     comparison_catalog,
 )
-from .variational import Lagrangian, NullCertificationFailed, NullVerdict, is_null
+from .variational import EPS_ACT, Lagrangian, NullCertificationFailed, NullVerdict, is_null
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -60,9 +60,9 @@ def _base_report(args) -> dict:
         "version": __version__,
         "seed": getattr(args, "seed", 0),
         "tolerances": {
-            "eps_eq": getattr(args, "eps_eq", 1e-9),
-            "eps_act": getattr(args, "eps_act", 1e-7),
-            "eps_drift": getattr(args, "eps_drift", 1e-7),
+            "eps_eq": getattr(args, "eps_eq", EPS_EQ),
+            "eps_act": EPS_ACT,
+            "eps_drift": getattr(args, "eps_drift", EPS_DRIFT),
         },
     }
 
@@ -115,22 +115,22 @@ def _number(text: str) -> ex.Const:
         raise ValueError(f"{text!r} divides by zero") from None
 
 
-def _pair_report(pair, seed: int) -> dict:
+def _pair_report(pair) -> dict:
     gauge = reconstruct_gauge(pair)
     rep = pair.to_dict()
     rep["gauge"] = to_string(gauge.body) if gauge else "not reconstructed"
-    rep["nullity"] = is_null(pair.assembled(), seed=seed).verdict.value
+    rep["nullity"] = pair.certificate.verdict.value
     return rep
 
 
 def cmd_derive(args) -> int:
     report = _base_report(args)
     if args.spec_file:
-        records = json.loads(open(args.spec_file).read())
-        results = []
-        for record in records:
-            results.append(_derive_record(record, args.seed))
-        report["results"] = results
+        with open(args.spec_file) as fh:
+            records = json.load(fh)
+        if not isinstance(records, list):
+            raise ValueError(f"spec file {args.spec_file} must hold a JSON array of records")
+        report["results"] = [_derive_record(record, args.seed) for record in records]
         _emit(args, report)
         return EXIT_OK
     if not args.B:
@@ -138,13 +138,18 @@ def cmd_derive(args) -> int:
     pair = build_null(
         parse(args.B), parse(args.f) if args.f else ZERO, _parse_domain(args), seed=args.seed
     )
-    report.update(_pair_report(pair, args.seed))
+    report.update(_pair_report(pair))
     _emit(args, report)
     return EXIT_OK
 
 
 def _derive_record(record: dict, seed: int) -> dict:
+    if not isinstance(record, dict):
+        raise ValueError(f"spec record {json.dumps(record)} is not a JSON object")
     kind = record.get("kind", "generating")
+    missing = [k for k in (("f1", "f2") if kind == "fraction" else ("B",)) if k not in record]
+    if missing:
+        raise ValueError(f"spec record {json.dumps(record)} lacks {', '.join(missing)}")
     box = record.get("domain", {})
     domain = Domain(
         x=tuple(box.get("x", (0.5, 2.0))),
@@ -163,7 +168,7 @@ def _derive_record(record: dict, seed: int) -> dict:
         pair = build_nonstandard_null(spec, f, domain, seed=seed)
     else:
         pair = build_null(parse(record["B"]), f, domain, seed=seed)
-    return _pair_report(pair, seed)
+    return _pair_report(pair)
 
 
 def cmd_verify(args) -> int:
@@ -184,13 +189,15 @@ def cmd_harmonic(args) -> int:
     h = harmonic(pair, args.n, seed=args.seed)
     report["base"] = pair.to_dict()
     report["harmonic"] = h.to_dict()
-    report["nullity"] = is_null(h.as_lagrangian(), seed=args.seed).verdict.value
+    report["nullity"] = h.certificate.verdict.value
     _emit(args, report)
     return EXIT_OK
 
 
 def cmd_eom(args) -> int:
     report = _base_report(args)
+    if not (args.B or args.lagrangian):
+        raise ParseError("eom requires --B or --L", 0)
     if args.B:
         pair = build_null(
             parse(args.B), parse(args.f) if args.f else ZERO, _parse_domain(args), seed=args.seed
@@ -325,9 +332,6 @@ def cmd_audit(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *, domain: bool = True) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized checks")
-    p.add_argument("--eps-eq", type=float, default=1e-9, dest="eps_eq")
-    p.add_argument("--eps-act", type=float, default=1e-7, dest="eps_act")
-    p.add_argument("--eps-drift", type=float, default=1e-7, dest="eps_drift")
     p.add_argument("--out", help="write the report to this path instead of stdout")
     if domain:
         p.add_argument("--x-box", help="x interval as lo,hi", dest="x_box")
@@ -356,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verdict on whether a Lagrangian is null")
     p.add_argument("lagrangian", help="Lagrangian expression over x, x', t")
+    p.add_argument("--eps-eq", type=float, default=EPS_EQ, dest="eps_eq")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -405,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--csv", help="write the trajectory CSV here")
+    p.add_argument("--eps-drift", type=float, default=EPS_DRIFT, dest="eps_drift")
     _add_common(p, domain=False)
     p.set_defaults(func=cmd_simulate)
 
@@ -431,7 +437,7 @@ def main(argv=None) -> int:
     warnings.simplefilter("ignore", category=UserWarning)
     try:
         return args.func(args)
-    except (ParseError, AntiderivativeUnsupported, IntegralUnsupported, ValueError) as err:
+    except (ParseError, AntiderivativeUnsupported, ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (NullCertificationFailed, ConstraintViolated) as err:

@@ -261,7 +261,7 @@ def composed_eom(F: Composer, L: Lagrangian) -> EquationOfMotion:
     return EquationOfMotion(residual, xddot_coefficient(residual), "composition", L.domain)
 
 
-def conservation_eom(pair: NullPair, *, verify: bool = True, seed: int = 0) -> EquationOfMotion:
+def conservation_eom(pair: NullPair, *, seed: int = 0) -> EquationOfMotion:
     """Equation of motion from conserving the null Lagrangian along the
     motion (d/dt of the assembled body = 0), in expanded form
 
@@ -278,38 +278,31 @@ def conservation_eom(pair: NullPair, *, verify: bool = True, seed: int = 0) -> E
         mul(diff(C, T), X),
         diff(f, T),
     )
-    if verify:
-        direct = total_dt(pair.assembled().body)
-        # difference equals -xdot * (null-condition residual), zero on pairs
-        gap = sub(direct, residual)
-        if not ex.proven_zero(gap):
-            rep = equivalent(direct, residual, pair.domain, seed=seed)
-            if rep.verdict is Verdict.DISTINCT:
-                raise NullCertificationFailed(
-                    f"expanded conservation residual disagrees with total_dt: {rep.witness}"
-                )
+    # the difference is -xdot * (null-condition residual), zero on pairs
+    rep = equivalent(total_dt(pair.assembled().body), residual, pair.domain, seed=seed)
+    if rep.verdict is Verdict.DISTINCT:
+        raise NullCertificationFailed(
+            f"expanded conservation residual disagrees with total_dt: {rep.witness}"
+        )
     return EquationOfMotion(residual, xddot_coefficient(residual), "conservation", pair.domain)
 
 
-def harmonic_eom(h, *, verify: bool = True, seed: int = 0) -> EquationOfMotion:
+def harmonic_eom(h, *, seed: int = 0) -> EquationOfMotion:
     """Equation of motion of an order-n harmonic via the recursion
     residual(n) = residual(n-1) + d^2/dt^2 of the order-(n-1) weighted
     velocity coefficient; cross-checked against total_dt of the body."""
     from .construct import weighted_B
 
-    base_eom = conservation_eom(h.base, verify=verify, seed=seed)
+    base_eom = conservation_eom(h.base, seed=seed)
     residual = base_eom.residual
     for m in range(h.order):
         B_m = weighted_B(h.base.B, m)
         residual = add(residual, total_dt(total_dt(B_m)))
-    if verify:
-        direct = total_dt(h.body)
-        if not ex.proven_zero(sub(direct, residual)):
-            rep = equivalent(direct, residual, h.domain, seed=seed)
-            if rep.verdict is Verdict.DISTINCT:
-                raise NullCertificationFailed(
-                    f"harmonic recursion residual disagrees with total_dt: {rep.witness}"
-                )
+    rep = equivalent(total_dt(h.body), residual, h.domain, seed=seed)
+    if rep.verdict is Verdict.DISTINCT:
+        raise NullCertificationFailed(
+            f"harmonic recursion residual disagrees with total_dt: {rep.witness}"
+        )
     return EquationOfMotion(residual, xddot_coefficient(residual), "conservation", h.domain)
 
 

@@ -48,6 +48,7 @@ from .variational import (
     Lagrangian,
     NullCertificationFailed,
     NullPair,
+    NullReport,
     is_null,
 )
 
@@ -283,7 +284,7 @@ class HarmonicLagrangian:
     xC_n: Expr
     body: Expr
     domain: Domain = DEFAULT_DOMAIN
-    certificate: tuple = field(default=(), compare=False, repr=False)
+    certificate: NullReport | None = field(default=None, compare=False, repr=False)
 
     def as_lagrangian(self) -> Lagrangian:
         return Lagrangian(self.body, self.domain)
@@ -311,7 +312,7 @@ def harmonic(base: NullPair, n: int, *, seed: int = 0, order_cap: int = HARMONIC
     check = is_null(body, base.domain, seed=seed)
     if not check:
         raise NullCertificationFailed(f"harmonic of order {n} failed nullity: {check.witness}")
-    return HarmonicLagrangian(base, n, B_n, xC_n, body, base.domain, certificate=(check,))
+    return HarmonicLagrangian(base, n, B_n, xC_n, body, base.domain, certificate=check)
 
 
 # ---------------------------------------------------------------------------

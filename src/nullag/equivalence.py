@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from . import expr as ex
 from .domain import DEFAULT_DOMAIN, Domain, instantiation_rounds, point_function, sample_points
@@ -78,10 +79,12 @@ def equivalent(
     points per instantiation round, Distinct with a witness otherwise."""
     domain = domain or DEFAULT_DOMAIN
     if constants:
-        # bind before the symbolic check; the sampler still receives the
-        # values so that domain guards mentioning them stay consistent
-        e1 = ex.bind_constants(e1, constants)
-        e2 = ex.bind_constants(e2, constants)
+        # bind the exact rational value of each constant before the proof, so
+        # a proof never rests on float rounding; the sampler still receives
+        # the values so that domain guards mentioning them stay consistent
+        exact = {k: Fraction(v) for k, v in constants.items()}
+        e1 = ex.bind_constants(e1, exact)
+        e2 = ex.bind_constants(e2, exact)
     difference = sub(e1, e2)
     if proven_zero(difference):
         return EquivalenceReport(Verdict.PROVEN_EQUAL, seed=seed, eps=eps, n_points=n_points)

@@ -53,6 +53,9 @@ class IVP:
     guards: tuple[Guard, ...] = ()
 
     def __post_init__(self):
+        for name in ("t0", "x0", "v0", "t1", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0:
             raise ValueError("step h must be positive")
         if not self.t1 > self.t0:

@@ -55,8 +55,8 @@ class ConstraintViolated(ex.ExprError):
     """Coefficients do not satisfy the applicable tie constraint."""
 
 
-class IntegralUnsupported(ex.ExprError):
-    """A required coefficient integral has no closed form in the supported class."""
+# a required coefficient integral has no closed form in the supported class
+IntegralUnsupported = AntiderivativeUnsupported
 
 
 class Classification(str, Enum):
@@ -214,7 +214,6 @@ def build_timedep(
     scale: Expr = B0,
     domain: Domain | None = None,
     seed: int = 0,
-    eps: float = 1e-9,
 ) -> SystemCase:
     """Time-dependent catalog branch (alpha1 = 0).
 
@@ -242,15 +241,12 @@ def build_timedep(
         gamma1 = tied
     else:
         gamma1 = _as_expr(gamma1)
-        rep = equivalent(gamma1, tied, domain, eps=eps, seed=seed)
+        rep = equivalent(gamma1, tied, domain, seed=seed)
         if rep.verdict is Verdict.DISTINCT:
             raise ConstraintViolated(
                 f"gamma1 must equal beta1'/2 + beta1^2/4 = {to_string(tied)}; witness {rep.witness}"
             )
-    try:
-        I_beta = mul(Const(Fraction(1, 2)), antiderivative(beta1, T))
-    except AntiderivativeUnsupported as err:
-        raise IntegralUnsupported(str(err)) from None
+    I_beta = mul(Const(Fraction(1, 2)), antiderivative(beta1, T))
     E = apply_fn("exp", I_beta)
     B = mul(scale, E)
     C = mul(Const(Fraction(1, 2)), beta1, B)
@@ -277,16 +273,13 @@ def solve_gamma_displacement(alpha2, beta0, ctilde=ZERO) -> Expr:
     beta0^2/4, solved with the integrating factor e^(I) where I is the
     x-antiderivative of alpha2; ctilde is the integration constant."""
     alpha2, beta0, ctilde = _as_expr(alpha2), _as_expr(beta0), _as_expr(ctilde)
-    try:
-        I_alpha = antiderivative(alpha2, X)
-        E = apply_fn("exp", I_alpha)
-        forced = (
-            mul(Const(Fraction(1, 4)), pow_(beta0, 2), antiderivative(E, X))
-            if not _is_zero(beta0)
-            else ZERO
-        )
-    except AntiderivativeUnsupported as err:
-        raise IntegralUnsupported(str(err)) from None
+    I_alpha = antiderivative(alpha2, X)
+    E = apply_fn("exp", I_alpha)
+    forced = (
+        mul(Const(Fraction(1, 4)), pow_(beta0, 2), antiderivative(E, X))
+        if not _is_zero(beta0)
+        else ZERO
+    )
     u = mul(pow_(E, -1), add(forced, ctilde))
     return mul(u, pow_(X, -1))
 
@@ -300,7 +293,6 @@ def build_displacement(
     scale: Expr = B0,
     domain: Domain | None = None,
     seed: int = 0,
-    eps: float = 1e-9,
 ) -> SystemCase:
     """Displacement-dependent catalog branch (beta constant).
 
@@ -318,15 +310,12 @@ def build_displacement(
         mul(Const(Fraction(1, 4)), pow_(beta0, 2)),
     )
     domain = domain or DEFAULT_DOMAIN
-    rep = vanishes(constraint, domain, eps=eps, seed=seed)
+    rep = vanishes(constraint, domain, seed=seed)
     if rep.verdict is Verdict.DISTINCT:
         raise ConstraintViolated(
             f"gamma2 violates x*gamma2' + gamma2*(1 + alpha2*x) = beta0^2/4; witness {rep.witness}"
         )
-    try:
-        I_alpha = antiderivative(alpha2, X)
-    except AntiderivativeUnsupported as err:
-        raise IntegralUnsupported(str(err)) from None
+    I_alpha = antiderivative(alpha2, X)
     if not _is_zero(beta0):
         E = apply_fn("exp", add(I_alpha, mul(Const(Fraction(1, 2)), beta0, T)))
         B = mul(scale, E)

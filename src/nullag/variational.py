@@ -101,14 +101,15 @@ class NullPair:
 
     B is the velocity coefficient, C the displacement coefficient (both over
     x and t), f a function of t alone.  Certification happens at
-    construction via `certified`; direct construction skips it.
+    construction via `certified`, which keeps the NullReport that decided it
+    as `certificate`; direct construction skips it (certificate None).
     """
 
     B: Expr
     C: Expr
     f: Expr = ZERO
     domain: Domain = DEFAULT_DOMAIN
-    certificate: tuple = field(default=(), compare=False, repr=False)
+    certificate: NullReport | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def certified(
@@ -119,33 +120,25 @@ class NullPair:
         domain: Domain | None = None,
         *,
         seed: int = 0,
-        eps: float = 1e-9,
-        constants: dict[str, float] | None = None,
     ) -> "NullPair":
         domain = domain or DEFAULT_DOMAIN
         for name, e, allowed in (("B", B, {"x", "t"}), ("C", C, {"x", "t"}), ("f", f, {"t"})):
             bad = free_jets(e) - allowed
             if bad:
                 raise ValueError(f"{name} may not contain {sorted(bad)}")
-        residual = null_condition_residual(B, C)
-        cond = vanishes(residual, domain, seed=seed, eps=eps, constants=constants)
-        if cond.verdict is Verdict.DISTINCT:
+        # the Euler-Lagrange residual of B*xdot + C*x + f is the null-condition
+        # residual, so this one verdict certifies both
+        report = is_null(cls(B, C, f, domain).assembled(), seed=seed)
+        if not report:
             raise NullCertificationFailed(
-                f"null condition violated: dB/dt - d(xC)/dx = {to_string(residual)}; "
-                f"witness {cond.witness}"
+                f"null condition violated: dB/dt - d(xC)/dx = {to_string(report.residual)}; "
+                f"witness {report.witness}"
             )
-        pair = cls(B, C, f, domain, certificate=(cond,))
-        check = is_null(pair.assembled(), seed=seed, eps=eps, constants=constants)
-        if not check:
-            raise NullCertificationFailed(
-                f"assembled Lagrangian is not null; witness {check.witness}"
-            )
-        object.__setattr__(pair, "certificate", (cond, check))
-        return pair
+        return cls(B, C, f, domain, certificate=report)
 
     @property
     def is_certified(self) -> bool:
-        return bool(self.certificate)
+        return self.certificate is not None
 
     def assembled(self) -> Lagrangian:
         return Lagrangian(add(mul(self.B, XDOT), mul(self.C, X), self.f), self.domain)
@@ -248,9 +241,9 @@ def is_null(
         domain = domain or DEFAULT_DOMAIN
         body = L
     residual = euler_lagrange_residual(body)
-    if ex.proven_zero(residual):
-        return NullReport(NullVerdict.PROVEN_NULL, residual)
     rep = vanishes(residual, domain, seed=seed, eps=eps, n_points=n_points, constants=constants)
+    if rep.verdict is Verdict.PROVEN_EQUAL:
+        return NullReport(NullVerdict.PROVEN_NULL, residual)
     if rep.verdict is Verdict.DISTINCT:
         return NullReport(NullVerdict.NOT_NULL, residual, rep)
     return NullReport(NullVerdict.NUMERICALLY_NULL, residual, rep)

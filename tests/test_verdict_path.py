@@ -1,0 +1,157 @@
+"""One verdict path: each nullity verdict is decided once, by `equivalent`,
+and carried on the certified object as its certificate."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+import nullag.variational as variational
+from nullag.cli import main
+from nullag.construct import build_null, harmonic, solve_C
+from nullag.equivalence import Verdict, equivalent
+from nullag.expr import ZERO
+from nullag.parser import parse
+from nullag.variational import (
+    NullPair,
+    NullReport,
+    NullVerdict,
+    euler_lagrange_residual,
+    is_null,
+    null_condition_residual,
+)
+
+# generating functions of 1-3 terms, each rational * time part * space part
+TIME_PARTS = ("1", "t", "t^2", "exp(t/2)", "sin(t)", "f1(t)", "f2(t)")
+SPACE_PARTS = ("1", "x", "x^2", "x^3", "x^4", "exp(x)", "exp(2*x)", "exp(-x)",
+               "sin(1/2*x)", "sin(x)", "cos(3/2*x)", "cos(2*x)")
+_terms = st.tuples(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    st.sampled_from(TIME_PARTS),
+    st.sampled_from(SPACE_PARTS),
+)
+generating_functions = st.lists(_terms, min_size=1, max_size=3).map(
+    lambda terms: " + ".join(f"({c})*{time}*{space}" for c, time, space in terms)
+)
+
+
+def test_null_condition_is_the_euler_lagrange_residual_on_the_corpus(corpus_pairs):
+    for name, pair in corpus_pairs.items():
+        raw = NullPair(pair.B, pair.C, pair.f)
+        assert null_condition_residual(pair.B, pair.C) == euler_lagrange_residual(raw.assembled()), name
+
+
+@given(generating_functions, st.sampled_from(("0", "f4(t)", "t^2")))
+def test_null_condition_is_the_euler_lagrange_residual_on_generated_pairs(text, f):
+    B = parse(text)
+    C = solve_C(B)
+    pair = NullPair(B, C, parse(f))
+    assert null_condition_residual(B, C) == euler_lagrange_residual(pair.assembled())
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    calls = []
+
+    def counted(L):
+        calls.append(L)
+        return euler_lagrange_residual(L)
+
+    monkeypatch.setattr(variational, "euler_lagrange_residual", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, decided",
+    [
+        (["derive", "--B", "f1(t)*x + f2(t)*t + f3(t)", "--f", "f4(t)"], 1),
+        (["harmonic", "--B", "f1(t)*x + f2(t)*t + f3(t)", "--f", "f4(t)", "--n", "2"], 2),
+    ],
+)
+def test_each_nullity_verdict_is_decided_once(residual_calls, capsys, argv, decided):
+    assert main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert len(residual_calls) == decided
+
+
+def test_certificate_is_the_report_the_cli_prints(capsys):
+    B, f = "B0*exp(a0*x) + f1(t)*x", "f4(t)"
+    pair = build_null(parse(B), parse(f))
+    assert isinstance(pair.certificate, NullReport)
+    assert pair.is_certified
+    assert main(["derive", "--B", B, "--f", f, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nullity"] == pair.certificate.verdict.value
+
+    h = harmonic(pair, 2)
+    assert isinstance(h.certificate, NullReport)
+    assert main(["harmonic", "--B", B, "--f", f, "--n", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nullity"] == h.certificate.verdict.value
+
+
+def test_certificate_matches_is_null(corpus_pairs):
+    for name, pair in corpus_pairs.items():
+        check = is_null(pair.assembled())
+        assert pair.certificate.verdict is check.verdict, name
+        assert pair.certificate.residual == check.residual, name
+    assert NullPair(parse("x"), ZERO).certificate is None
+    assert not NullPair(parse("x"), ZERO).is_certified
+
+
+def test_proven_null_carries_no_sampling_report():
+    rep = build_null(parse("x^2*t")).certificate
+    assert rep.verdict is NullVerdict.PROVEN_NULL
+    assert rep.equivalence is None
+
+
+def test_float_constants_never_yield_a_proof():
+    # 1e16 + 1 == 1e16 in floats, so binding floats first "proved" this
+    rep = equivalent(parse("(a+1)*x"), parse("a*x"), constants={"a": 1e16})
+    assert rep.verdict is Verdict.NUMERICALLY_EQUAL
+    rep = equivalent(parse("(a+1)*x"), parse("a*x + x"), constants={"a": 1e16})
+    assert rep.verdict is Verdict.PROVEN_EQUAL
+    rep = equivalent(parse("a*x"), parse("x/10"), constants={"a": 0.1})
+    assert rep.verdict is not Verdict.PROVEN_EQUAL
+    rep = equivalent(parse("a*x"), parse("x/10"), constants={"a": Fraction(1, 10)})
+    assert rep.verdict is Verdict.PROVEN_EQUAL
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["eom"], None),
+        (["eom", "--f", "t"], None),
+        (["derive", "--spec-file", "{missing}"], None),
+        (["verify", "x", "--out", "{missing}/r.json"], None),
+        (["derive", "--spec-file", "{spec}"], [{"kind": "generating"}]),
+        (["derive", "--spec-file", "{spec}"], [{"kind": "fraction", "f1": "1"}]),
+        (["derive", "--spec-file", "{spec}"], {"kind": "generating"}),
+        (["derive", "--spec-file", "{spec}"], ["x"]),
+        (["compare", "--system", "tied", "--ic", "0,1,0", "--t1", "1e400"], None),
+        (["simulate", "--system", "tied", "--ic", "0,1,0", "--t1", "1", "--h", "inf"], None),
+        (["compare", "--system", "tied", "--ic", "0,nan,0", "--t1", "1"], None),
+    ],
+)
+def test_bad_input_is_an_input_error_not_a_traceback(tmp_path, capsys, argv, spec):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec))
+    argv = [a.format(missing=tmp_path / "missing", spec=path) for a in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_tolerance_flags_only_where_they_are_read(capsys):
+    assert main(["verify", "x'", "--eps-eq", "1e-3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"] == {
+        "eps_eq": 1e-3, "eps_act": 1e-7, "eps_drift": 1e-7,
+    }
+    assert main(["simulate", "--system", "tied", "--ic", "0,1,0", "--t1", "0.01",
+                 "--eps-drift", "1e-5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["eps_drift"] == 1e-5
+    for argv in (["derive", "--B", "x", "--eps-eq", "1e-3"],
+                 ["verify", "x'", "--eps-act", "1e-3"],
+                 ["verify", "x'", "--eps-drift", "1e-3"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
