@@ -94,10 +94,10 @@ def _emit(args, report: dict) -> None:
 def _parse_domain(args) -> Domain:
     kw = {}
     if getattr(args, "x_box", None):
-        lo, hi = (float(v) for v in args.x_box.split(","))
+        lo, hi = (_float(v) for v in args.x_box.split(","))
         kw["x"] = (lo, hi)
     if getattr(args, "t_box", None):
-        lo, hi = (float(v) for v in args.t_box.split(","))
+        lo, hi = (_float(v) for v in args.t_box.split(","))
         kw["t"] = (lo, hi)
     domain = Domain(**kw)
     for g in getattr(args, "guard", None) or []:
@@ -113,6 +113,15 @@ def _number(text: str) -> ex.Const:
         return ex.Const(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"{text!r} divides by zero") from None
+
+
+def _float(text: str) -> float:
+    """A numeric argument read exactly (see _number), then rounded once to
+    the nearest float; a value too large for a float is an input error."""
+    try:
+        return float(_number(text).value)
+    except OverflowError:
+        raise ValueError(f"{text!r} is too large for a float") from None
 
 
 def _pair_report(pair) -> dict:
@@ -269,8 +278,8 @@ def cmd_simulate(args) -> int:
     report = _base_report(args)
     case = _SIMULATABLE[args.system](args)
     constants = {"B0": _number(args.B0)}
-    t0, x0, v0 = (float(v) for v in args.ic.split(","))
-    ivp = case.eom.ivp(t0, x0, v0, args.t1, args.h, constants=constants)
+    t0, x0, v0 = (_float(v) for v in args.ic.split(","))
+    ivp = case.eom.ivp(t0, x0, v0, _float(args.t1), _float(args.h), constants=constants)
     traj = integrate(ivp)
     rep = drift(case.null_pair, traj, eps=args.eps_drift, constants=constants)
     if args.csv:
@@ -289,13 +298,14 @@ def cmd_compare(args) -> int:
     triple = comparison_catalog(args.system, seed=args.seed)
     constants = dict(DEFAULT_COMPARISON_CONSTANTS)
     if args.a0 is not None:
-        constants["a0"] = args.a0
+        constants["a0"] = _float(args.a0)
     if args.beta0 is not None:
-        constants["b0"] = args.beta0
-    t0, x0, v0 = (float(v) for v in args.ic.split(","))
+        constants["b0"] = _float(args.beta0)
+    t0, x0, v0 = (_float(v) for v in args.ic.split(","))
+    t1, h = _float(args.t1), _float(args.h)
     trajectories = {}
     for route, eom in triple.routes(seed=args.seed).items():
-        trajectories[route] = integrate(eom.ivp(t0, x0, v0, args.t1, args.h, constants=constants))
+        trajectories[route] = integrate(eom.ivp(t0, x0, v0, t1, h, constants=constants))
     names = list(trajectories)
     deviations = {}
     worst = 0.0
@@ -407,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", default="2", help="linear-damping coefficient")
     p.add_argument("--B0", default="1", help="overall scale of the null pair")
     p.add_argument("--ic", required=True, help="initial condition t0,x0,v0")
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--h", default="1e-3")
+    p.add_argument("--t1", required=True)
     p.add_argument("--csv", help="write the trajectory CSV here")
     p.add_argument("--eps-drift", type=float, default=EPS_DRIFT, dest="eps_drift")
     _add_common(p, domain=False)
@@ -416,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="trajectory equivalence of the three derivation routes")
     p.add_argument("--system", choices=["inertia", "quadratic", "tied"], required=True)
-    p.add_argument("--a0", type=float)
-    p.add_argument("--beta0", type=float)
+    p.add_argument("--a0")
+    p.add_argument("--beta0")
     p.add_argument("--ic", required=True, help="initial condition t0,x0,v0")
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--h", default="1e-3")
+    p.add_argument("--t1", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     _add_common(p, domain=False)
     p.set_defaults(func=cmd_compare)

@@ -46,6 +46,17 @@ class Domain:
     guards: tuple[Guard, ...] = ()
     velocity: tuple[float, float] = (-2.0, 2.0)
 
+    def __post_init__(self):
+        for name in ("x", "t", "velocity"):
+            box = getattr(self, name)
+            try:
+                lo, hi = box
+                valid = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} box must be a finite lo,hi with lo < hi, got {box}")
+
     def with_guards(self, *guards: Guard) -> "Domain":
         return Domain(self.x, self.t, self.guards + tuple(guards), self.velocity)
 

@@ -15,7 +15,14 @@ from enum import Enum
 from fractions import Fraction
 
 from . import expr as ex
-from .domain import DEFAULT_DOMAIN, Domain, instantiation_rounds, point_function, sample_points
+from .domain import (
+    DEFAULT_DOMAIN,
+    Domain,
+    InfeasibleDomainError,
+    instantiation_rounds,
+    point_function,
+    sample_points,
+)
 from .expr import Bindings, Expr, ZERO, proven_zero, sub, to_string
 
 N_EQ = 50
@@ -76,7 +83,9 @@ def equivalent(
 ) -> EquivalenceReport:
     """ProvenEqual when canonical forms agree (denominators cleared),
     NumericallyEqual when |e1-e2| <= eps*(1+|e1|) at n_points seeded guarded
-    points per instantiation round, Distinct with a witness otherwise."""
+    points per instantiation round, Distinct with a witness otherwise.
+    Raises InfeasibleDomainError when no sampled point of any round gave
+    finite values of both sides, since then nothing was compared."""
     domain = domain or DEFAULT_DOMAIN
     if constants:
         # bind the exact rational value of each constant before the proof, so
@@ -95,6 +104,7 @@ def equivalent(
         "{" + ", ".join(f"{k}={to_string(v)}" for k, v in r.items()) + "}" for r in rounds if r
     )
     max_diff = 0.0
+    compared = 0
     for funcs in rounds:
         points = sample_points([e1, e2], domain, n_points, rng, funcs=funcs, constants=constants)
         f1, f2 = point_function(e1, points[0]), point_function(e2, points[0])
@@ -106,6 +116,7 @@ def equivalent(
                 continue
             if not (math.isfinite(v1) and math.isfinite(v2)):
                 continue
+            compared += 1
             diff = abs(v1 - v2)
             max_diff = max(max_diff, diff)
             if diff > eps * (1.0 + abs(v1)):
@@ -118,6 +129,11 @@ def equivalent(
                     max_abs_diff=max_diff,
                     witness=_witness_dict(b, v1, v2, funcs),
                 )
+    if not compared:
+        raise InfeasibleDomainError(
+            f"no sampled point gave finite values of both sides in {len(rounds)} round(s) "
+            f"of {n_points} points"
+        )
     return EquivalenceReport(
         Verdict.NUMERICALLY_EQUAL,
         seed=seed,

@@ -215,6 +215,7 @@ def test_reports_are_deterministic_given_seed(capsys):
         ("compare", "--system", "inertia", "--ic", "0,1,0", "--t1", "1"),
         ("simulate", "--system", "quadratic", "--a0", "1", "--ic", "0,0,-2", "--t1", "1"),
         ("eom", "--B", "0", "--compose", "ln"),
+        ("verify", "x'^2*x + exp(exp(exp(exp(exp(x)))))"),  # every sampled point overflows
     ],
 )
 def test_arithmetic_failures_exit_2_without_traceback(capsys, argv):

@@ -1,8 +1,13 @@
 """Fixed-step integration, conservation drift, and trajectory comparison."""
 
-import numpy as np
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
+import nullag
 from nullag import (
     DomainExit,
     Guard,
@@ -15,6 +20,7 @@ from nullag import (
     parse,
     write_csv,
 )
+from nullag.numint import MAX_STEPS, Trajectory
 from nullag.systems import classify_constant
 
 TWO_OVER_E = 0.7357588823428847
@@ -127,6 +133,49 @@ def test_compare_rejects_grid_mismatch():
         compare(a, b)
 
 
+def test_compare_is_exact_on_plain_float_tuples():
+    grid = (0.0, 0.5, 1.0)
+    a = Trajectory(grid, (1.0, 2.0, 3.0), (0.5, 0.25, 0.125), 0.5)
+    same = Trajectory(grid, (1.0, 2.0, 3.0), (0.5, 0.25, 0.125), 0.5)
+    assert compare(a, same).to_dict() == {"max_dx": 0.0, "max_dv": 0.0}
+    ulp = Trajectory(grid, (1.0, math.nextafter(2.0, 3.0), 3.0), (0.5, 0.25, 0.125), 0.5)
+    assert compare(a, ulp).to_dict() == {"max_dx": math.ulp(2.0), "max_dv": 0.0}
+    for t in ((0.0, 0.5, 1.5), (0.0, 0.5)):
+        with pytest.raises(ValueError):
+            compare(a, Trajectory(t, a.x[: len(t)], a.v[: len(t)], 0.5))
+
+
+def test_trajectory_and_invariant_values_are_float_tuples():
+    case = classify_constant(1, 0, 0)
+    traj = integrate(IVP(case.eom.explicit(), 0, 0, 2, 1, 0.3, constants={"B0": 1}))
+    values = invariant_values(case.null_pair, traj, constants={"B0": 1})
+    for column in (traj.t, traj.x, traj.v, values):
+        assert type(column) is tuple and len(column) == len(traj)
+        assert {type(v) for v in column} == {float}
+    assert traj.final_state == (1.0, traj.x[-1], traj.v[-1])
+    assert drift(case.null_pair, traj, constants={"B0": 1}).values == values
+
+
+def test_drift_keeps_a_nan_invariant_value():
+    # 1e300*x^2 overflows to inf at x = 1e10, and inf - inf is nan
+    traj = Trajectory((1.0, 1e10), (1.0, 1e10), (0.0, 0.0), 1.0)
+    rep = drift(parse("10^300*x^2 - 10^300*t^2"), traj)
+    assert math.isnan(rep.max_abs_drift) and not rep.passed
+
+
+def test_step_count_is_capped():
+    IVP(_tied_g(), 0.0, 1.0, 0.0, MAX_STEPS / 1024, 1 / 1024, constants={"B0": 1.0})
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        IVP(_tied_g(), 0.0, 1.0, 0.0, 1.0, 1e-300, constants={"B0": 1.0})
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, nullag, nullag.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nullag.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_domain_exit_carries_time():
     guard = Guard(parse("1 - x"), positive=True)
     with pytest.raises(DomainExit) as err:
@@ -171,7 +220,7 @@ def test_csv_round_trip(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,xdot,L_null"
     assert len(lines) == len(traj) + 1
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert parsed[0, 3] == pytest.approx(2.0)
+    parsed = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert parsed[0][3] == pytest.approx(2.0)
     # full double precision round trip
-    assert parsed[-1, 1] == traj.x[-1]
+    assert parsed[-1][1] == traj.x[-1]

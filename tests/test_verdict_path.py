@@ -130,6 +130,12 @@ def test_float_constants_never_yield_a_proof():
         (["compare", "--system", "tied", "--ic", "0,1,0", "--t1", "1e400"], None),
         (["simulate", "--system", "tied", "--ic", "0,1,0", "--t1", "1", "--h", "inf"], None),
         (["compare", "--system", "tied", "--ic", "0,nan,0", "--t1", "1"], None),
+        (["verify", "x'^2*x", "--x-box", "nan,1"], None),
+        (["verify", "x'^2*x", "--x-box", "2,1"], None),
+        (["derive", "--spec-file", "{spec}"], [{"B": "x", "domain": {"t": [1, "inf"]}}]),
+        (["simulate", "--system", "tied", "--ic", "0,1,0", "--t1", "1", "--h", "1e-300"], None),
+        (["compare", "--system", "tied", "--ic", "0,1/0,0", "--t1", "1"], None),
+        (["compare", "--system", "quadratic", "--a0", "nan", "--ic", "0,0,1", "--t1", "1"], None),
     ],
 )
 def test_bad_input_is_an_input_error_not_a_traceback(tmp_path, capsys, argv, spec):
@@ -139,6 +145,26 @@ def test_bad_input_is_an_input_error_not_a_traceback(tmp_path, capsys, argv, spe
     argv = [a.format(missing=tmp_path / "missing", spec=path) for a in argv]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "argv, decimal",
+    [
+        (["compare", "--system", "tied", "--ic", "0,1/2,0", "--t1", "1/2"], ["0,0.5,0", "0.5"]),
+        (["compare", "--system", "quadratic", "--a0", "1/2", "--ic", "0,0,1", "--t1", "1", "--h", "1/500"],
+         ["0.5", "2e-3"]),
+        (["simulate", "--system", "tied", "--ic", "1/4,1,0", "--t1", "3/4", "--h", "1/1000"],
+         ["0.25,1,0", "0.75", "1e-3"]),
+        (["verify", "x'^2*x", "--x-box", "1/2,3/2", "--t-box", "1/4,1"], ["0.5,1.5", "0.25,1"]),
+    ],
+)
+def test_numeric_arguments_read_exact_fractions(capsys, argv, decimal):
+    fractions = iter(decimal)
+    same = [next(fractions) if "/" in a else a for a in argv]
+    assert main([*argv, "--json"]) != 3
+    exact = capsys.readouterr().out
+    assert main([*same, "--json"]) != 3
+    assert capsys.readouterr().out == exact
 
 
 def test_tolerance_flags_only_where_they_are_read(capsys):
