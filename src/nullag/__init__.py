@@ -101,7 +101,6 @@ from .composer import (
     Composer,
     EquationOfMotion,
     LeadingCoefficientVanishes,
-    NullCertificationMissing,
     RangeGuardViolated,
     compose,
     composed_eom,

@@ -59,11 +59,7 @@ def _base_report(args) -> dict:
         "tool": "nullag",
         "version": __version__,
         "seed": getattr(args, "seed", 0),
-        "tolerances": {
-            "eps_eq": getattr(args, "eps_eq", EPS_EQ),
-            "eps_act": EPS_ACT,
-            "eps_drift": getattr(args, "eps_drift", EPS_DRIFT),
-        },
+        "tolerances": {"eps_eq": EPS_EQ, "eps_act": EPS_ACT, "eps_drift": EPS_DRIFT},
     }
 
 
@@ -124,6 +120,14 @@ def _float(text: str) -> float:
         raise ValueError(f"{text!r} is too large for a float") from None
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance argument read as _float reads it; it must be >= 0."""
+    value = _float(text)
+    if value < 0:
+        raise ValueError(f"tolerance {text!r} must be >= 0")
+    return value
+
+
 def _pair_report(pair) -> dict:
     gauge = reconstruct_gauge(pair)
     rep = pair.to_dict()
@@ -181,9 +185,11 @@ def _derive_record(record: dict, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
+    eps = _tolerance(args.eps_eq)
     report = _base_report(args)
+    report["tolerances"]["eps_eq"] = eps
     L = Lagrangian(parse(args.lagrangian), _parse_domain(args))
-    rep = is_null(L, seed=args.seed, eps=args.eps_eq)
+    rep = is_null(L, seed=args.seed, eps=eps)
     report["lagrangian"] = to_string(L.body)
     report.update(rep.to_dict())
     _emit(args, report)
@@ -275,13 +281,15 @@ _SIMULATABLE = {
 
 
 def cmd_simulate(args) -> int:
+    eps = _tolerance(args.eps_drift)
     report = _base_report(args)
+    report["tolerances"]["eps_drift"] = eps
     case = _SIMULATABLE[args.system](args)
     constants = {"B0": _number(args.B0)}
     t0, x0, v0 = (_float(v) for v in args.ic.split(","))
     ivp = case.eom.ivp(t0, x0, v0, _float(args.t1), _float(args.h), constants=constants)
     traj = integrate(ivp)
-    rep = drift(case.null_pair, traj, eps=args.eps_drift, constants=constants)
+    rep = drift(case.null_pair, traj, eps=eps, constants=constants)
     if args.csv:
         write_csv(args.csv, traj, rep.values)
         report["csv"] = args.csv
@@ -294,6 +302,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    tol = _tolerance(args.tol)
     report = _base_report(args)
     triple = comparison_catalog(args.system, seed=args.seed)
     constants = dict(DEFAULT_COMPARISON_CONSTANTS)
@@ -318,10 +327,10 @@ def cmd_compare(args) -> int:
     report["constants"] = constants
     report["deviations"] = deviations
     report["max_deviation"] = worst
-    report["tolerance"] = args.tol
-    report["passed"] = worst <= args.tol
+    report["tolerance"] = tol
+    report["passed"] = worst <= tol
     _emit(args, report)
-    return EXIT_OK if worst <= args.tol else EXIT_VERIFICATION
+    return EXIT_OK if worst <= tol else EXIT_VERIFICATION
 
 
 def cmd_audit(args) -> int:
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verdict on whether a Lagrangian is null")
     p.add_argument("lagrangian", help="Lagrangian expression over x, x', t")
-    p.add_argument("--eps-eq", type=float, default=EPS_EQ, dest="eps_eq")
+    p.add_argument("--eps-eq", default=str(EPS_EQ), dest="eps_eq")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default="1e-3")
     p.add_argument("--t1", required=True)
     p.add_argument("--csv", help="write the trajectory CSV here")
-    p.add_argument("--eps-drift", type=float, default=EPS_DRIFT, dest="eps_drift")
+    p.add_argument("--eps-drift", default=str(EPS_DRIFT), dest="eps_drift")
     _add_common(p, domain=False)
     p.set_defaults(func=cmd_simulate)
 
@@ -431,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ic", required=True, help="initial condition t0,x0,v0")
     p.add_argument("--h", default="1e-3")
     p.add_argument("--t1", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", default="1e-8")
     _add_common(p, domain=False)
     p.set_defaults(func=cmd_compare)
 

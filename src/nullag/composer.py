@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .domain import DEFAULT_DOMAIN, Domain, Guard, collect_guards, instantiation_rounds, point_function, sample_points
-from .equivalence import Verdict, equivalent
+from .equivalence import EPS_EQ, N_EQ, Verdict, equivalent
 from .expr import (
     Const,
     ConstSym,
@@ -65,10 +65,6 @@ class LeadingCoefficientVanishes(ex.ExprError):
     """The xddot coefficient vanishes identically or on the whole domain."""
 
 
-class NullCertificationMissing(ex.ExprError):
-    """Operation requires a certified NullPair."""
-
-
 @dataclass(frozen=True)
 class Composer:
     """Scalar post-composition F with symbolic first and second derivatives.
@@ -79,8 +75,6 @@ class Composer:
 
     name: str
     body: Expr
-    range_positive: bool = False
-    range_nonzero: bool = False
 
     def __call__(self, inner: Expr) -> Expr:
         return substitute(self.body, {_SLOT: inner})
@@ -101,32 +95,22 @@ class Composer:
 
     @classmethod
     def ln(cls) -> "Composer":
-        return cls("ln", apply_fn("ln", _SLOT), range_positive=True)
+        return cls("ln", apply_fn("ln", _SLOT))
 
     @classmethod
     def reciprocal(cls) -> "Composer":
-        return cls("reciprocal", pow_(_SLOT, -1), range_nonzero=True)
+        return cls("reciprocal", pow_(_SLOT, -1))
 
     @classmethod
     def power(cls, k: int) -> "Composer":
         if k == 0:
             raise ValueError("power(0) is constant and admits no dynamics")
-        return cls(f"power({k})", pow_(_SLOT, k), range_nonzero=k < 0)
+        return cls(f"power({k})", pow_(_SLOT, k))
 
     @classmethod
     def from_expr(cls, body: Expr, slot: ConstSym = ConstSym("L")) -> "Composer":
         body = substitute(body, {slot: _SLOT})
-        guards = {(g.positive) for g in _slot_guards(body)}
-        return cls(
-            f"user({to_string(body)})",
-            body,
-            range_positive=True in guards,
-            range_nonzero=False in guards,
-        )
-
-
-def _slot_guards(body: Expr):
-    return [g for g in collect_guards(body) if _SLOT in ex.free_atoms(g.expr)]
+        return cls(f"user({to_string(body)})", body)
 
 
 CATALOG = {
@@ -137,20 +121,23 @@ CATALOG = {
 }
 
 
-def compose(F: Composer, L: Lagrangian, *, check_feasible: bool = True, seed: int = 0) -> Lagrangian:
-    """Lagrangian F(L.body); inherits L's guards plus F's range guard.
+def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
+    """Lagrangian F(L.body); inherits L's guards plus F's range guards: each
+    guard collect_guards finds on the slot of F's body (ln(L) needs L > 0,
+    1/L needs L != 0), with L.body in the slot.
 
-    Raises RangeGuardViolated when the range guard leaves no feasible
+    Raises RangeGuardViolated when the range guards leave no feasible
     sample points in any instantiation round of the opaque functions,
     carrying a violating point as witness.
     """
-    domain = L.domain
-    if F.range_positive:
-        domain = domain.with_guards(Guard(L.body, positive=True))
-    elif F.range_nonzero:
-        domain = domain.with_guards(Guard(L.body))
+    range_guards = [
+        Guard(substitute(g.expr, {_SLOT: L.body}), g.positive)
+        for g in dict.fromkeys(collect_guards(F.body))
+        if _SLOT in ex.free_atoms(g.expr)
+    ]
+    domain = L.domain.with_guards(*range_guards)
     composed = Lagrangian(F(L.body), domain)
-    if check_feasible and (F.range_positive or F.range_nonzero):
+    if range_guards:
         rng = random.Random(seed)
         names = sorted(set().union(*(ex.func_names(g.expr) for g in domain.guards)))
         rounds = instantiation_rounds(names)
@@ -270,7 +257,7 @@ def conservation_eom(pair: NullPair, *, seed: int = 0) -> EquationOfMotion:
     Verified against the direct total time derivative under the null
     condition at construction."""
     if not pair.is_certified:
-        raise NullCertificationMissing("conservation_eom requires a certified NullPair")
+        raise NullCertificationFailed("conservation_eom requires a certified NullPair")
     B, C, f = pair.B, pair.C, pair.f
     residual = add(
         mul(B, XDDOT),
@@ -320,19 +307,11 @@ def solve_leading(eom: EquationOfMotion) -> Expr:
     return mul(Const(Fraction(-1)), rest, pow_(leading, -1))
 
 
-def permissibility_check(
-    F: Composer,
-    pair: NullPair,
-    *,
-    n_points: int = 50,
-    seed: int = 0,
-    eps: float = 1e-9,
-    constants: dict[str, float] | None = None,
-) -> str:
+def permissibility_check(F: Composer, pair: NullPair, *, seed: int = 0) -> str:
     """Check p_L * F''(L) does not vanish on the guarded domain.
 
-    Returns "ok" when the factor stays bounded away from zero at every
-    sampled point of every instantiation round of the opaque functions,
+    Returns "ok" when |factor| stays above EPS_EQ at every one of N_EQ
+    sampled points of every instantiation round of the opaque functions,
     else "conditional" (the conservation rule then holds only where the
     factor is nonzero)."""
     body = pair.assembled().body
@@ -340,7 +319,7 @@ def permissibility_check(
     rng = random.Random(seed)
     for funcs in instantiation_rounds(sorted(ex.func_names(factor))):
         try:
-            points = sample_points([factor], pair.domain, n_points, rng, funcs=funcs, constants=constants)
+            points = sample_points([factor], pair.domain, N_EQ, rng, funcs=funcs)
         except ex.ExprError:
             return "conditional"
         value = point_function(factor, points[0])
@@ -349,6 +328,6 @@ def permissibility_check(
                 v = abs(float(value(b)))
             except (ArithmeticError, ValueError):
                 return "conditional"
-            if not eps < v < math.inf:
+            if not EPS_EQ < v < math.inf:
                 return "conditional"
     return "ok"

@@ -246,12 +246,11 @@ def build_null(
     f: Expr = ZERO,
     domain: Domain | None = None,
     *,
-    xc_shift: Expr = ZERO,
     seed: int = 0,
 ) -> NullPair:
     """Certified NullPair generated by B with additive time term f."""
     domain = domain or DEFAULT_DOMAIN
-    C = solve_C(B, xc_shift=xc_shift, domain=domain)
+    C = solve_C(B, domain=domain)
     return NullPair.certified(B, C, f, domain, seed=seed)
 
 
@@ -283,8 +282,11 @@ class HarmonicLagrangian:
     B_n: Expr
     xC_n: Expr
     body: Expr
-    domain: Domain = DEFAULT_DOMAIN
     certificate: NullReport | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def domain(self) -> Domain:
+        return self.base.domain
 
     def as_lagrangian(self) -> Lagrangian:
         return Lagrangian(self.body, self.domain)
@@ -298,12 +300,12 @@ class HarmonicLagrangian:
         }
 
 
-def harmonic(base: NullPair, n: int, *, seed: int = 0, order_cap: int = HARMONIC_ORDER_CAP) -> HarmonicLagrangian:
+def harmonic(base: NullPair, n: int, *, seed: int = 0) -> HarmonicLagrangian:
     """Order-n harmonic of a certified base pair; certified null itself."""
     if n < 0:
         raise ValueError("harmonic order must be non-negative")
-    if n > order_cap:
-        raise ValueError(f"harmonic order {n} above cap {order_cap}; pass order_cap to override")
+    if n > HARMONIC_ORDER_CAP:
+        raise ValueError(f"harmonic order {n} above cap {HARMONIC_ORDER_CAP}")
     if not base.is_certified:
         raise NullCertificationFailed("harmonic requires a certified NullPair")
     B_n = weighted_B(base.B, n)
@@ -312,7 +314,7 @@ def harmonic(base: NullPair, n: int, *, seed: int = 0, order_cap: int = HARMONIC
     check = is_null(body, base.domain, seed=seed)
     if not check:
         raise NullCertificationFailed(f"harmonic of order {n} failed nullity: {check.witness}")
-    return HarmonicLagrangian(base, n, B_n, xC_n, body, base.domain, certificate=check)
+    return HarmonicLagrangian(base, n, B_n, xC_n, body, certificate=check)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A Domain is a closed box for x and t together with guard expressions that
 must stay nonzero (denominators) or positive (ln arguments) with a margin
 EPS_GUARD.  `guard_predicate` is the one check of guards: sampling,
 integration and the action quadrature all use it.  Sampling rejects
-candidate points that violate any guard; the velocity box supplies values
+candidate points that violate any guard; the box VELOCITY supplies values
 for xdot/xddot/xdddot and named constants are drawn away from zero so that
 generic nonvanishing factors stay generic.
 """
@@ -44,10 +44,9 @@ class Domain:
     x: tuple[float, float] = (0.5, 2.0)
     t: tuple[float, float] = (0.5, 2.0)
     guards: tuple[Guard, ...] = ()
-    velocity: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
-        for name in ("x", "t", "velocity"):
+        for name in ("x", "t"):
             box = getattr(self, name)
             try:
                 lo, hi = box
@@ -58,10 +57,14 @@ class Domain:
                 raise ValueError(f"{name} box must be a finite lo,hi with lo < hi, got {box}")
 
     def with_guards(self, *guards: Guard) -> "Domain":
-        return Domain(self.x, self.t, self.guards + tuple(guards), self.velocity)
+        return Domain(self.x, self.t, self.guards + tuple(guards))
 
 
 DEFAULT_DOMAIN = Domain()
+# The box from which xdot, xddot and xdddot are sampled.
+VELOCITY = (-2.0, 2.0)
+# Candidates the sampler draws per requested point before giving up.
+MAX_TRIES_PER_POINT = 400
 
 # Instantiations used for numeric checks of expressions with opaque functions.
 STANDARD_FUNCTIONS: tuple[Expr, ...] = (
@@ -159,7 +162,6 @@ def sample_points(
     *,
     funcs: dict[str, Expr] | None = None,
     constants: dict[str, float] | None = None,
-    max_tries_per_point: int = 400,
 ) -> list[Bindings]:
     """Draw n guarded points for the free atoms of exprs.
 
@@ -179,7 +181,7 @@ def sample_points(
 
     points: list[Bindings] = []
     tries = 0
-    limit = max_tries_per_point * n
+    limit = MAX_TRIES_PER_POINT * n
     while len(points) < n and tries < limit:
         tries += 1
         jets = {}
@@ -189,7 +191,7 @@ def sample_points(
             elif name == "t":
                 jets[name] = rng.uniform(*domain.t)
             else:
-                jets[name] = rng.uniform(*domain.velocity)
+                jets[name] = rng.uniform(*VELOCITY)
         consts = dict(constants)
         for name in const_free:
             consts[name] = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)

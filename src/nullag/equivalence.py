@@ -77,12 +77,11 @@ def equivalent(
     domain: Domain | None = None,
     *,
     eps: float = EPS_EQ,
-    n_points: int = N_EQ,
     seed: int = 0,
     constants: dict[str, float] | None = None,
 ) -> EquivalenceReport:
     """ProvenEqual when canonical forms agree (denominators cleared),
-    NumericallyEqual when |e1-e2| <= eps*(1+|e1|) at n_points seeded guarded
+    NumericallyEqual when |e1-e2| <= eps*(1+|e1|) at N_EQ seeded guarded
     points per instantiation round, Distinct with a witness otherwise.
     Raises InfeasibleDomainError when no sampled point of any round gave
     finite values of both sides, since then nothing was compared."""
@@ -96,7 +95,7 @@ def equivalent(
         e2 = ex.bind_constants(e2, exact)
     difference = sub(e1, e2)
     if proven_zero(difference):
-        return EquivalenceReport(Verdict.PROVEN_EQUAL, seed=seed, eps=eps, n_points=n_points)
+        return EquivalenceReport(Verdict.PROVEN_EQUAL, seed=seed, eps=eps)
     rng = random.Random(seed)
     names = sorted(ex.func_names(e1) | ex.func_names(e2))
     rounds = instantiation_rounds(names)
@@ -106,7 +105,7 @@ def equivalent(
     max_diff = 0.0
     compared = 0
     for funcs in rounds:
-        points = sample_points([e1, e2], domain, n_points, rng, funcs=funcs, constants=constants)
+        points = sample_points([e1, e2], domain, N_EQ, rng, funcs=funcs, constants=constants)
         f1, f2 = point_function(e1, points[0]), point_function(e2, points[0])
         for b in points:
             try:
@@ -124,7 +123,6 @@ def equivalent(
                     Verdict.DISTINCT,
                     seed=seed,
                     eps=eps,
-                    n_points=n_points,
                     instantiations=insts,
                     max_abs_diff=max_diff,
                     witness=_witness_dict(b, v1, v2, funcs),
@@ -132,13 +130,12 @@ def equivalent(
     if not compared:
         raise InfeasibleDomainError(
             f"no sampled point gave finite values of both sides in {len(rounds)} round(s) "
-            f"of {n_points} points"
+            f"of {N_EQ} points"
         )
     return EquivalenceReport(
         Verdict.NUMERICALLY_EQUAL,
         seed=seed,
         eps=eps,
-        n_points=n_points,
         instantiations=insts,
         max_abs_diff=max_diff,
     )
@@ -149,8 +146,7 @@ def vanishes(
     domain: Domain | None = None,
     *,
     eps: float = EPS_EQ,
-    n_points: int = N_EQ,
     seed: int = 0,
     constants: dict[str, float] | None = None,
 ) -> EquivalenceReport:
-    return equivalent(e, ZERO, domain, eps=eps, n_points=n_points, seed=seed, constants=constants)
+    return equivalent(e, ZERO, domain, eps=eps, seed=seed, constants=constants)

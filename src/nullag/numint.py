@@ -40,8 +40,8 @@ class IVP:
     """Initial value problem xddot = g(x, xdot, t) on [t0, t1] with step h.
 
     g may be a compiled callable or an Expr (compiled with the given
-    constants/funcs).  Guards are checked, with the same constants/funcs,
-    at every accepted step.
+    constants).  Guards are checked, with the same constants, at every
+    accepted step.
     """
 
     g: Callable[[float, float, float], float] | Expr
@@ -51,7 +51,6 @@ class IVP:
     t1: float
     h: float
     constants: dict | None = None
-    funcs: dict | None = None
     guards: tuple[Guard, ...] = ()
 
     def __post_init__(self):
@@ -68,9 +67,7 @@ class IVP:
 
     def right_side(self) -> Callable[[float, float, float], float]:
         if isinstance(self.g, Expr):
-            return compile_expr(
-                self.g, ("x", "xdot", "t"), funcs=self.funcs, constants=self.constants
-            )
+            return compile_expr(self.g, ("x", "xdot", "t"), constants=self.constants)
         return self.g
 
 
@@ -83,7 +80,6 @@ class Trajectory:
     x: tuple[float, ...]
     v: tuple[float, ...]
     h: float
-    integrator: str = "rk4"
 
     def __len__(self) -> int:
         return len(self.t)
@@ -102,7 +98,7 @@ def integrate(ivp: IVP) -> Trajectory:
     raises NonFiniteState.  Both carry the time at the end of that step."""
     g = ivp.right_side()
     guards = ivp.guards
-    inside = guard_predicate(guards, ("x", "xdot", "t"), funcs=ivp.funcs, constants=ivp.constants)
+    inside = guard_predicate(guards, ("x", "xdot", "t"), constants=ivp.constants)
     t0, x0, v0, t1, step = float(ivp.t0), float(ivp.x0), float(ivp.v0), float(ivp.t1), float(ivp.h)
     if guards and not inside(x0, v0, t0):
         raise DomainExit(f"initial state lies outside the guarded domain at t={t0:g}", t0)
@@ -173,10 +169,9 @@ def invariant_values(
     traj: Trajectory,
     *,
     constants: dict | None = None,
-    funcs: dict | None = None,
 ) -> tuple[float, ...]:
     body = pair_or_body.assembled().body if isinstance(pair_or_body, NullPair) else pair_or_body
-    fn = compile_expr(body, ("x", "xdot", "t"), funcs=funcs, constants=constants)
+    fn = compile_expr(body, ("x", "xdot", "t"), constants=constants)
     return tuple([float(fn(x, v, t)) for x, v, t in zip(traj.x, traj.v, traj.t)])
 
 
@@ -186,11 +181,10 @@ def drift(
     *,
     eps: float = EPS_DRIFT,
     constants: dict | None = None,
-    funcs: dict | None = None,
 ) -> DriftReport:
     """Max |L_k - L_0| of the null-Lagrangian value along the trajectory;
     passes iff <= eps*(1 + |L_0|)."""
-    values = invariant_values(pair_or_body, traj, constants=constants, funcs=funcs)
+    values = invariant_values(pair_or_body, traj, constants=constants)
     initial = values[0]
     deviations = [abs(L - initial) for L in values]
     # max() passes over a NaN that is not the first item; the sum keeps it
@@ -221,10 +215,9 @@ def compare(a: Trajectory, b: Trajectory) -> TrajectoryDeviation:
     return TrajectoryDeviation(_max_deviation(a.x, b.x), _max_deviation(a.v, b.v))
 
 
-def write_csv(path, traj: Trajectory, invariant: Iterable[float] | None = None) -> None:
+def write_csv(path, traj: Trajectory, invariant: Iterable[float]) -> None:
     """CSV rows t,x,xdot,L_null at full double precision."""
-    inv = list(invariant) if invariant is not None else [float("nan")] * len(traj)
     with open(path, "w") as fh:
         fh.write("t,x,xdot,L_null\n")
-        for t, x, v, L in zip(traj.t, traj.x, traj.v, inv):
+        for t, x, v, L in zip(traj.t, traj.x, traj.v, invariant):
             fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r},{float(L)!r}\n")

@@ -74,8 +74,6 @@ class SystemCase:
     alpha: Expr
     beta: Expr
     gamma: Expr
-    B: Expr | None = None
-    C: Expr | None = None
     constraints: tuple[Expr, ...] = ()
     null_pair: NullPair | None = None
     absent_reason: str | None = None
@@ -87,6 +85,14 @@ class SystemCase:
     @property
     def has_null_lagrangian(self) -> bool:
         return self.null_pair is not None
+
+    @property
+    def B(self) -> Expr | None:
+        return self.null_pair.B if self.null_pair else None
+
+    @property
+    def C(self) -> Expr | None:
+        return self.null_pair.C if self.null_pair else None
 
     def to_dict(self) -> dict:
         return {
@@ -129,11 +135,20 @@ def _constraint_witness(constraint: Expr, domain: Domain, seed: int = 0) -> dict
     return None
 
 
-def classify_constant(alpha0, beta0, gamma0, *, scale: Expr = B0, seed: int = 0) -> SystemCase:
+def _admissible(classification, B: Expr, C: Expr, domain: Domain, seed: int, **fields) -> SystemCase:
+    """The catalog case of the null Lagrangian B*xdot + C*x: its certified
+    pair and conservation equation of motion; constants default to {B0}."""
+    pair = NullPair.certified(B, C, ZERO, domain, seed=seed)
+    fields.setdefault("constants", {"B0": B0})
+    eom = conservation_eom(pair, seed=seed)
+    return SystemCase(classification, null_pair=pair, eom=eom, **fields)
+
+
+def classify_constant(alpha0, beta0, gamma0, *, seed: int = 0) -> SystemCase:
     """Classify constant coefficients; symbolic constants that do not
     canonicalize to zero are treated as generically nonzero.
 
-    Admissible cases emit B = scale*e^(alpha0*x + beta0*t/2) with C pinned
+    Admissible cases emit B = B0*e^(alpha0*x + beta0*t/2) with C pinned
     by the tie constraint (1 + alpha0*x)*gamma0 = beta0^2/4.
     """
     alpha0, beta0, gamma0 = _as_expr(alpha0), _as_expr(beta0), _as_expr(gamma0)
@@ -142,57 +157,30 @@ def classify_constant(alpha0, beta0, gamma0, *, scale: Expr = B0, seed: int = 0)
         mul(add(Const(Fraction(1)), mul(alpha0, X)), gamma0),
         mul(Const(Fraction(1, 4)), pow_(beta0, 2)),
     )
-    common = dict(alpha=alpha0, beta=beta0, gamma=gamma0, target_residual=target)
+    common = dict(
+        alpha=alpha0, beta=beta0, gamma=gamma0, constraints=(constraint,), target_residual=target
+    )
 
     if _is_zero(alpha0) and _is_zero(beta0) and _is_zero(gamma0):
-        pair = NullPair.certified(scale, ZERO, ZERO, DEFAULT_DOMAIN, seed=seed)
+        classification, B, C = Classification.INERTIA, B0, ZERO
+    elif _is_zero(alpha0) and not _is_zero(beta0) and ex.proven_zero(constraint):
+        classification = Classification.DAMPED_OSCILLATOR_TIED
+        E = apply_fn("exp", mul(beta0, T, Const(Fraction(1, 2))))
+        B, C = mul(B0, E), mul(2, B0, gamma0, pow_(beta0, -1), E)
+    elif not _is_zero(alpha0) and _is_zero(beta0) and _is_zero(gamma0):
+        classification = Classification.QUADRATIC_DAMPING
+        B, C = mul(B0, apply_fn("exp", mul(alpha0, X))), ZERO
+    else:
         return SystemCase(
-            Classification.INERTIA,
-            B=pair.B,
-            C=pair.C,
-            constraints=(constraint,),
-            null_pair=pair,
-            eom=conservation_eom(pair, seed=seed),
-            constants={"B0": scale},
+            Classification.NO_NULL_LAGRANGIAN,
+            absent_reason=(
+                "the tie constraint (1 + alpha0*x)*gamma0 = beta0^2/4 cannot hold identically "
+                "for these constants"
+            ),
+            absent_witness=_constraint_witness(constraint, DEFAULT_DOMAIN, seed),
             **common,
         )
-    if _is_zero(alpha0) and not _is_zero(beta0) and ex.proven_zero(constraint):
-        B = mul(scale, apply_fn("exp", mul(beta0, T, Const(Fraction(1, 2)))))
-        C = mul(2, scale, gamma0, pow_(beta0, -1), apply_fn("exp", mul(beta0, T, Const(Fraction(1, 2)))))
-        pair = NullPair.certified(B, C, ZERO, DEFAULT_DOMAIN, seed=seed)
-        return SystemCase(
-            Classification.DAMPED_OSCILLATOR_TIED,
-            B=B,
-            C=C,
-            constraints=(constraint,),
-            null_pair=pair,
-            eom=conservation_eom(pair, seed=seed),
-            constants={"B0": scale},
-            **common,
-        )
-    if not _is_zero(alpha0) and _is_zero(beta0) and _is_zero(gamma0):
-        B = mul(scale, apply_fn("exp", mul(alpha0, X)))
-        pair = NullPair.certified(B, ZERO, ZERO, DEFAULT_DOMAIN, seed=seed)
-        return SystemCase(
-            Classification.QUADRATIC_DAMPING,
-            B=B,
-            C=ZERO,
-            constraints=(constraint,),
-            null_pair=pair,
-            eom=conservation_eom(pair, seed=seed),
-            constants={"B0": scale},
-            **common,
-        )
-    return SystemCase(
-        Classification.NO_NULL_LAGRANGIAN,
-        constraints=(constraint,),
-        absent_reason=(
-            "the tie constraint (1 + alpha0*x)*gamma0 = beta0^2/4 cannot hold identically "
-            "for these constants"
-        ),
-        absent_witness=_constraint_witness(constraint, DEFAULT_DOMAIN, seed),
-        **common,
-    )
+    return _admissible(classification, B, C, DEFAULT_DOMAIN, seed, **common)
 
 
 def gamma_from_beta(beta: Expr) -> Expr:
@@ -211,13 +199,12 @@ def build_timedep(
     gamma1=None,
     alpha1=ZERO,
     *,
-    scale: Expr = B0,
     domain: Domain | None = None,
     seed: int = 0,
 ) -> SystemCase:
     """Time-dependent catalog branch (alpha1 = 0).
 
-    B = scale*e^(I) with I = (1/2) integral of beta1; the displacement
+    B = B0*e^(I) with I = (1/2) integral of beta1; the displacement
     coefficient is beta1*B/2, the constraint-substituted form of the
     gamma integral.  A nonzero alpha1 only admits the constant
     quadratic-damping case.
@@ -235,7 +222,7 @@ def build_timedep(
                 "with alpha1 != 0 the condition forces beta1 = gamma1 = 0 "
                 "(constant quadratic damping is the only admissible case)"
             )
-        return classify_constant(alpha1, 0, 0, scale=scale, seed=seed)
+        return classify_constant(alpha1, 0, 0, seed=seed)
     tied = gamma_from_beta(beta1)
     if gamma1 is None:
         gamma1 = tied
@@ -247,22 +234,12 @@ def build_timedep(
                 f"gamma1 must equal beta1'/2 + beta1^2/4 = {to_string(tied)}; witness {rep.witness}"
             )
     I_beta = mul(Const(Fraction(1, 2)), antiderivative(beta1, T))
-    E = apply_fn("exp", I_beta)
-    B = mul(scale, E)
+    B = mul(B0, apply_fn("exp", I_beta))
     C = mul(Const(Fraction(1, 2)), beta1, B)
-    pair = NullPair.certified(B, C, ZERO, domain, seed=seed)
-    return SystemCase(
-        Classification.TIME_DEPENDENT_OSCILLATOR,
-        alpha=ZERO,
-        beta=beta1,
-        gamma=gamma1,
-        B=B,
-        C=C,
-        constraints=(sub(gamma1, tied),),
-        null_pair=pair,
-        eom=conservation_eom(pair, seed=seed),
+    return _admissible(
+        Classification.TIME_DEPENDENT_OSCILLATOR, B, C, domain, seed,
+        alpha=ZERO, beta=beta1, gamma=gamma1, constraints=(sub(gamma1, tied),),
         target_residual=_target_residual(ZERO, beta1, gamma1),
-        constants={"B0": scale},
     )
 
 
@@ -290,15 +267,14 @@ def build_displacement(
     gamma2=None,
     *,
     ctilde=ZERO,
-    scale: Expr = B0,
     domain: Domain | None = None,
     seed: int = 0,
 ) -> SystemCase:
     """Displacement-dependent catalog branch (beta constant).
 
-    For beta0 != 0 the pair is B = scale*e^(I + beta0*t/2),
-    C = 2*gamma2*B/beta0; for beta0 = 0 it is B = scale*e^(I),
-    C = scale*t*gamma2*e^(I); I is the x-antiderivative of alpha2.
+    For beta0 != 0 the pair is B = B0*e^(I + beta0*t/2),
+    C = 2*gamma2*B/beta0; for beta0 = 0 it is B = B0*e^(I),
+    C = B0*t*gamma2*e^(I); I is the x-antiderivative of alpha2.
     """
     alpha2, beta0 = _as_expr(alpha2), _as_expr(beta0)
     if gamma2 is None:
@@ -317,26 +293,17 @@ def build_displacement(
         )
     I_alpha = antiderivative(alpha2, X)
     if not _is_zero(beta0):
-        E = apply_fn("exp", add(I_alpha, mul(Const(Fraction(1, 2)), beta0, T)))
-        B = mul(scale, E)
+        B = mul(B0, apply_fn("exp", add(I_alpha, mul(Const(Fraction(1, 2)), beta0, T))))
         C = mul(2, gamma2, pow_(beta0, -1), B)
     else:
         E = apply_fn("exp", I_alpha)
-        B = mul(scale, E)
-        C = mul(scale, T, gamma2, E)
-    pair = NullPair.certified(B, C, ZERO, domain, seed=seed)
-    return SystemCase(
-        Classification.DISPLACEMENT_DEPENDENT,
-        alpha=alpha2,
-        beta=beta0,
-        gamma=gamma2,
-        B=B,
-        C=C,
-        constraints=(constraint,),
-        null_pair=pair,
-        eom=conservation_eom(pair, seed=seed),
+        B = mul(B0, E)
+        C = mul(B0, T, gamma2, E)
+    return _admissible(
+        Classification.DISPLACEMENT_DEPENDENT, B, C, domain, seed,
+        alpha=alpha2, beta=beta0, gamma=gamma2, constraints=(constraint,),
         target_residual=_target_residual(alpha2, beta0, gamma2),
-        constants={"B0": scale, "ctilde": ctilde},
+        constants={"B0": B0, "ctilde": ctilde},
     )
 
 

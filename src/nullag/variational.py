@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import expr as ex
 from .domain import DEFAULT_DOMAIN, Domain, DomainExit, guard_predicate
-from .equivalence import EquivalenceReport, Verdict, vanishes
+from .equivalence import EPS_EQ, EquivalenceReport, Verdict, vanishes
 from .expr import (
     Expr,
     T,
@@ -229,9 +229,7 @@ def is_null(
     domain: Domain | None = None,
     *,
     seed: int = 0,
-    eps: float = 1e-9,
-    n_points: int = 50,
-    constants: dict[str, float] | None = None,
+    eps: float = EPS_EQ,
 ) -> NullReport:
     """ProvenNull / NumericallyNull / NotNull with witness."""
     if isinstance(L, Lagrangian):
@@ -241,7 +239,7 @@ def is_null(
         domain = domain or DEFAULT_DOMAIN
         body = L
     residual = euler_lagrange_residual(body)
-    rep = vanishes(residual, domain, seed=seed, eps=eps, n_points=n_points, constants=constants)
+    rep = vanishes(residual, domain, seed=seed, eps=eps)
     if rep.verdict is Verdict.PROVEN_EQUAL:
         return NullReport(NullVerdict.PROVEN_NULL, residual)
     if rep.verdict is Verdict.DISTINCT:

@@ -57,7 +57,7 @@ LN_THREE = 1.0986122886681098
 
 
 def _assert_null(obj, label):
-    rep = is_null(obj, eps=1e-9, n_points=50)
+    rep = is_null(obj, eps=1e-9)
     assert rep.verdict in (NullVerdict.PROVEN_NULL, NullVerdict.NUMERICALLY_NULL), (
         label,
         rep.witness,
@@ -92,7 +92,7 @@ def test_criterion_2_null_condition_equivalence():
         C = solve_C(B)
         assert null_condition_residual(B, C) == ZERO, i
         pair = build_null(B)
-        rep = is_null(pair.assembled(), eps=1e-9, n_points=50)
+        rep = is_null(pair.assembled(), eps=1e-9)
         assert rep.verdict in (NullVerdict.PROVEN_NULL, NullVerdict.NUMERICALLY_NULL), i
     perturbations = [parse(p) for p in ("1", "x", "t", "x^2", "3/2", "x*t")]
     for i in range(20):
@@ -122,7 +122,7 @@ def test_criterion_3_conservation_expansion(corpus_pairs):
             factored = mul(momentum(body), F.deriv2(body), total_dt(body))
             assert proven_zero(sub(residual, factored)), (name, F.name)
             rep = equivalent(
-                residual, factored, pair.domain, n_points=50, seed=7, constants=constants
+                residual, factored, pair.domain, seed=7, constants=constants
             )
             assert rep.verdict is not Verdict.DISTINCT, (name, F.name)
     print("\nACCEPTANCE 3 (conservation expansion + composition factoring): PASS")

@@ -10,7 +10,7 @@ from nullag import (
     Guard,
     Lagrangian,
     LeadingCoefficientVanishes,
-    NullCertificationMissing,
+    NullCertificationFailed,
     NullPair,
     RangeGuardViolated,
     Verdict,
@@ -32,9 +32,11 @@ from nullag import (
     proven_zero,
     solve_leading,
     sub,
+    to_string,
     total_dt,
 )
-from nullag.construct import build_null, harmonic
+from nullag.composer import CATALOG
+from nullag.construct import FractionSpec, build_nonstandard_null, build_null, harmonic
 from corpus import constant_family, exp_family, tied_family
 
 
@@ -106,7 +108,7 @@ def test_form_independence_of_null_dynamics():
     reference = conservation_eom(pair).residual
     constants = {"B0": 1.0, "b0": 2.0}
     for F in (Composer.exp(), Composer.ln(), Composer.reciprocal(), Composer.power(3)):
-        composed = compose(F, pair.assembled(), check_feasible=False)
+        composed = compose(F, pair.assembled())
         res = composed_eom(F, pair.assembled()).residual
         factor = mul(momentum(body), F.deriv2(body))
         collapsed = mul(res, pow_(factor, -1))
@@ -137,7 +139,7 @@ def test_conservation_eom_tied_oscillator_pair():
 
 def test_conservation_eom_requires_certificate():
     raw = NullPair(parse("c1"), ZERO, ZERO)
-    with pytest.raises(NullCertificationMissing):
+    with pytest.raises(NullCertificationFailed):
         conservation_eom(raw)
 
 
@@ -175,10 +177,9 @@ def test_solve_leading_requires_linear_acceleration():
 
 def test_permissibility_verdicts():
     pair = exp_family()
-    constants = {"B0": 1.0, "a0": 1.0}
-    assert permissibility_check(Composer.ln(), pair, constants=constants) == "ok"
+    assert permissibility_check(Composer.ln(), pair) == "ok"
     # identity has vanishing second derivative everywhere
-    assert permissibility_check(Composer.identity(), pair, constants=constants) == "conditional"
+    assert permissibility_check(Composer.identity(), pair) == "conditional"
 
 
 def test_permissibility_instantiates_opaque_functions():
@@ -192,6 +193,34 @@ def test_user_composer_from_expression():
     assert compose(F, L).body == parse("c1^2*x'^2 + c1*x'")
     assert F.deriv1(parse("c1*x'")) == parse("2*c1*x' + 1")
     assert F.deriv2(parse("c1*x'")) == parse("2")
+
+
+def _guards(L):
+    return [(to_string(g.expr), g.positive) for g in L.domain.guards]
+
+
+def test_range_guards_carry_the_whole_guarded_expression():
+    L = compose(Composer.from_expr(parse("ln(L + 3)")), Lagrangian(parse("-x'^2")))
+    assert _guards(L) == [("3 - x'^2", True)]
+    L = compose(Composer.from_expr(parse("1/(L - 5)")), Lagrangian(parse("x'")))
+    assert _guards(L) == [("-5 + x'", False)]
+
+
+def test_catalog_range_guards():
+    pair = build_nonstandard_null(FractionSpec(parse("a1"), parse("a2"), ZERO, parse("a4")))
+    box = ("a4 + x*a2", True)
+    L = "x'*a1/(a4 + x*a2)"
+    expected = {
+        "identity": [box],
+        "exp": [box],
+        "ln": [box, (L, True)],
+        "reciprocal": [box, (L, False)],
+        "power(2)": [box],
+        "power(-2)": [box, (L, False)],
+    }
+    composers = [CATALOG[name]() for name in ("identity", "exp", "ln", "reciprocal")]
+    for F in composers + [Composer.power(2), Composer.power(-2)]:
+        assert _guards(compose(F, pair.assembled())) == expected[F.name], F.name
 
 
 def test_compose_instantiates_opaque_functions():

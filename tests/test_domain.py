@@ -65,7 +65,7 @@ def test_sampling_infeasible_domain_raises():
     rng = random.Random(0)
     domain = Domain(x=(0.5, 2.0), guards=(Guard(parse("-x"), positive=True),))
     with pytest.raises(InfeasibleDomainError):
-        sample_points([parse("x")], domain, 5, rng, max_tries_per_point=50)
+        sample_points([parse("x")], domain, 5, rng)
 
 
 def test_sampling_covers_guard_only_constants():

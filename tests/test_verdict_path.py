@@ -136,6 +136,16 @@ def test_float_constants_never_yield_a_proof():
         (["simulate", "--system", "tied", "--ic", "0,1,0", "--t1", "1", "--h", "1e-300"], None),
         (["compare", "--system", "tied", "--ic", "0,1/0,0", "--t1", "1"], None),
         (["compare", "--system", "quadratic", "--a0", "nan", "--ic", "0,0,1", "--t1", "1"], None),
+        *(
+            (argv + [flag, value], None)
+            for argv, flag in (
+                (["verify", "1/2*x'^2"], "--eps-eq"),
+                (["verify", "x' + (sin(x)^2 + cos(x)^2 - 1)*x'^2"], "--eps-eq"),
+                (["simulate", "--system", "tied", "--ic", "0,1,0", "--t1", "0.01"], "--eps-drift"),
+                (["compare", "--system", "tied", "--ic", "0,1,0", "--t1", "0.01"], "--tol"),
+            )
+            for value in ("nan", "inf", "-1", "x")
+        ),
     ],
 )
 def test_bad_input_is_an_input_error_not_a_traceback(tmp_path, capsys, argv, spec):
@@ -180,4 +190,12 @@ def test_tolerance_flags_only_where_they_are_read(capsys):
                  ["verify", "x'", "--eps-drift", "1e-3"]):
         with pytest.raises(SystemExit):
             main(argv)
+    capsys.readouterr()
+
+
+def test_zero_tolerance_is_strict(capsys):
+    assert main(["verify", "x'", "--eps-eq", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["eps_eq"] == 0.0
+    assert main(["verify", "x' + (sin(x)^2 + cos(x)^2 - 1)*x'^2", "--eps-eq", "1/10"]) == 0
+    assert main(["compare", "--system", "tied", "--ic", "0,1,0", "--t1", "0.01", "--tol", "0"]) != 3
     capsys.readouterr()
