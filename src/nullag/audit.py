@@ -95,7 +95,6 @@ def audit_displacement_exponent(seed: int = 0) -> AuditFinding:
         mul(reference_gamma, add(parse("1"), mul(alpha, X))),
     )
     ref_constraint_rep = vanishes(constraint_ref, seed=seed)
-    m_null = is_null(case.null_pair.assembled(), seed=seed)
     return AuditFinding(
         name="displacement_exponent_sign",
         description=(
@@ -105,7 +104,7 @@ def audit_displacement_exponent(seed: int = 0) -> AuditFinding:
         verdict=rep.verdict,
         machine_form=to_string(machine_gamma),
         reference_form=to_string(reference_gamma),
-        machine_null_verdict=m_null.verdict.value,
+        machine_null_verdict=case.null_pair.certificate.verdict.value,
         witness=rep.witness,
         notes={
             "reference_constraint_verdict": ref_constraint_rep.verdict.value,
@@ -132,7 +131,6 @@ def audit_fraction_transcription(seed: int = 0) -> AuditFinding:
     )
     domain = pair.domain.with_guards(Guard(parse("f3(t)*x + f3(t)*t + f4(t)")))
     rep = equivalent(reference_c_part, machine_c_part, domain, seed=seed)
-    m_null = is_null(pair.assembled(), seed=seed)
     return AuditFinding(
         name="fraction_family_transcription",
         description=(
@@ -142,7 +140,7 @@ def audit_fraction_transcription(seed: int = 0) -> AuditFinding:
         verdict=rep.verdict,
         machine_form=to_string(machine_c_part),
         reference_form=to_string(reference_c_part),
-        machine_null_verdict=m_null.verdict.value,
+        machine_null_verdict=pair.certificate.verdict.value,
         witness=rep.witness,
     )
 

@@ -21,6 +21,7 @@ from .audit import run_audits
 from .composer import (
     CATALOG,
     Composer,
+    compose,
     composed_eom,
     conservation_eom,
     eom_from_lagrangian,
@@ -217,22 +218,23 @@ def cmd_eom(args) -> int:
         pair = build_null(
             parse(args.B), parse(args.f) if args.f else ZERO, _parse_domain(args), seed=args.seed
         )
-        eom = conservation_eom(pair, seed=args.seed)
+        L = pair.assembled()
         report["source"] = pair.to_dict()
-        if args.compose:
-            F = _composer(args.compose)
-            eom = composed_eom(F, pair.assembled())
-            report["composer"] = F.name
-            report["permissible"] = permissibility_check(F, pair, seed=args.seed)
     else:
         L = Lagrangian(parse(args.lagrangian), _parse_domain(args))
         report["source"] = {"lagrangian": to_string(L.body)}
-        if args.compose:
-            F = _composer(args.compose)
-            eom = composed_eom(F, L)
-            report["composer"] = F.name
-        else:
-            eom = eom_from_lagrangian(L)
+    if args.compose:
+        F = _composer(args.compose)
+        # raises RangeGuardViolated when F's range guards leave no feasible point
+        compose(F, L, seed=args.seed)
+        eom = composed_eom(F, L)
+        report["composer"] = F.name
+        if args.B:
+            report["permissible"] = permissibility_check(F, pair, seed=args.seed)
+    elif args.B:
+        eom = conservation_eom(pair, seed=args.seed)
+    else:
+        eom = eom_from_lagrangian(L)
     report["eom"] = eom.to_dict()
     _emit(args, report)
     return EXIT_OK

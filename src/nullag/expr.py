@@ -4,13 +4,16 @@ Expressions are trees over the jet symbols x, x', x'', x''', the time
 variable t, named constants, and opaque time-functions f(t) that carry a
 derivative order.  Every public constructor canonicalizes its result:
 sums of monomials with merged rational coefficients, a deterministic total
-ordering of atoms, integer powers of sums expanded, x^0 and empty products
+ordering of atoms, powers of sums above 1 expanded down to their fractional
+part (u^(5/2) is u^2 expanded times u^(1/2)), x^0 and empty products
 collapsed to 1, zero coefficients dropped, and exponentials merged via
 exp(a)*exp(b) = exp(a+b).  Rational multiples of ln(u) inside an exp are
 converted to powers, so exp(q*ln(u)) and u^q meet in the same canonical
 form.
 
-All values are immutable; every operation returns a new tree.
+All values are immutable; every operation returns a new tree.  A node's
+ordering key (sort_key) is computed the first time it is asked for and
+kept in the node's _key slot, so a node must never be mutated.
 """
 
 from __future__ import annotations
@@ -54,9 +57,13 @@ class DivisionByZero(ExprError, ZeroDivisionError):
 
 
 class Expr:
-    """Base class of all expression nodes.  Instances are canonical."""
+    """Base class of all expression nodes.  Instances are canonical.
 
-    __slots__ = ()
+    The one slot, _key, holds the node's ordering key once sort_key has
+    computed it; it is not a dataclass field, so ==, hash, pickle and copy
+    never see it."""
+
+    __slots__ = ("_key",)
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -84,7 +91,7 @@ class Expr:
         return pow_(self, exponent)
 
     def __neg__(self):
-        return mul(Const(Fraction(-1)), self)
+        return mul(MINUS_ONE, self)
 
     def __str__(self):
         return to_string(self)
@@ -152,8 +159,13 @@ XDDOT = JetSym("xddot")
 XDDDOT = JetSym("xdddot")
 T = JetSym("t")
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+_FM1 = Fraction(-1)
+
+ZERO = Const(_F0)
+ONE = Const(_F1)
+MINUS_ONE = Const(_FM1)
 
 _JETS = {s.name: s for s in (X, XDOT, XDDOT, XDDDOT, T)}
 
@@ -177,7 +189,17 @@ def const(v: Number) -> Expr:
 
 
 def sort_key(e: Expr):
-    """Deterministic total ordering key over canonical trees."""
+    """Deterministic total ordering key over canonical trees, computed once
+    per node and kept in its _key slot."""
+    try:
+        return e._key
+    except AttributeError:
+        key = _sort_key(e)
+        object.__setattr__(e, "_key", key)
+        return key
+
+
+def _sort_key(e: Expr):
     if isinstance(e, Const):
         v = e.value
         try:
@@ -210,8 +232,8 @@ def as_coeff_factors(e: Expr) -> tuple[Union[Fraction, float], tuple[Expr, ...]]
         fs = e.factors
         if isinstance(fs[0], Const):
             return fs[0].value, fs[1:]
-        return Fraction(1), fs
-    return Fraction(1), (e,)
+        return _F1, fs
+    return _F1, (e,)
 
 
 def _term_from(coeff, factors: tuple[Expr, ...]) -> Expr:
@@ -224,7 +246,7 @@ def _term_from(coeff, factors: tuple[Expr, ...]) -> Expr:
 
 def add(*args) -> Expr:
     buckets: dict[tuple, list] = {}
-    const_acc: Union[Fraction, float] = Fraction(0)
+    const_acc: Union[Fraction, float] = _F0
     stack = [_coerce(a) for a in reversed(args)]
     while stack:
         a = stack.pop()
@@ -255,7 +277,7 @@ def _is_simple_factor(e: Expr) -> bool:
 
 
 def mul(*args) -> Expr:
-    coeff: Union[Fraction, float] = Fraction(1)
+    coeff: Union[Fraction, float] = _F1
     flat: list[Expr] = []
     stack = [_coerce(a) for a in reversed(args)]
     while stack:
@@ -289,7 +311,7 @@ def mul(*args) -> Expr:
         elif isinstance(f, Power):
             pow_into(f.base, f.exponent)
         else:
-            pow_into(f, Fraction(1))
+            pow_into(f, _F1)
     if exp_args:
         combined = apply_fn("exp", add(*exp_args))
         comb_coeff, comb_factors = as_coeff_factors(combined)
@@ -298,7 +320,7 @@ def mul(*args) -> Expr:
             if isinstance(f, Power):
                 pow_into(f.base, f.exponent)
             else:
-                pow_into(f, Fraction(1))
+                pow_into(f, _F1)
     pieces: list[Expr] = []
     needs_recurse = False
     for key in sorted(powers):
@@ -326,9 +348,7 @@ def mul(*args) -> Expr:
 
 def pow_(base, exponent: Number) -> Expr:
     b = _coerce(base)
-    if isinstance(exponent, float):
-        exponent = Fraction(exponent)
-    q = Fraction(exponent)
+    q = exponent if isinstance(exponent, Fraction) else Fraction(exponent)
     if q == 0:
         return ONE
     if q == 1:
@@ -353,20 +373,23 @@ def pow_(base, exponent: Number) -> Expr:
         if q.denominator == 1:
             return mul(*(pow_(f, q) for f in b.factors))
         return Power(b, q)
-    if isinstance(b, Sum) and q.denominator == 1 and q > 1:
+    if isinstance(b, Sum) and q > 1:
+        # u^(n + r) = u^n * u^r with u^n expanded, so that u^(3/2) and
+        # u*u^(1/2) (which mul distributes) meet in one form
+        n = q.numerator // q.denominator
         r: Expr = b
-        for _ in range(int(q) - 1):
+        for _ in range(n - 1):
             r = mul(r, b)
-        return r
+        return r if n == q else mul(r, Power(b, q - n))
     return Power(b, q)
 
 
 def div(a, b) -> Expr:
-    return mul(_coerce(a), pow_(_coerce(b), Fraction(-1)))
+    return mul(_coerce(a), pow_(_coerce(b), _FM1))
 
 
 def sub(a, b) -> Expr:
-    return add(_coerce(a), mul(Const(Fraction(-1)), _coerce(b)))
+    return add(_coerce(a), mul(MINUS_ONE, _coerce(b)))
 
 
 def apply_fn(func: str, arg) -> Expr:
@@ -476,14 +499,14 @@ def _diff(e: Expr, sym: Expr) -> Expr:
         if e.func == "exp":
             return mul(e, d)
         if e.func == "ln":
-            return mul(d, pow_(e.arg, Fraction(-1)))
+            return mul(d, pow_(e.arg, _FM1))
         if e.func == "sin":
             return mul(apply_fn("cos", e.arg), d)
         if e.func == "cos":
-            return mul(Const(Fraction(-1)), apply_fn("sin", e.arg), d)
+            return mul(MINUS_ONE, apply_fn("sin", e.arg), d)
         if e.func == "abs":
             # d|u| = u * u' / |u|, valid away from u = 0
-            return mul(e.arg, pow_(e, Fraction(-1)), d)
+            return mul(e.arg, pow_(e, _FM1), d)
     raise TypeError(f"cannot differentiate {e!r}")
 
 

@@ -113,6 +113,15 @@ def test_eom_from_pair_with_composition(capsys):
     assert report["permissible"] in ("ok", "conditional")
 
 
+def test_eom_compose_checks_the_range_guard(capsys):
+    """ln(-x'^2) is defined nowhere: the composer's range guard is checked
+    before any equation of motion is printed."""
+    code, out, err = run(capsys, "eom", "--L=-x'^2", "--compose", "ln", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: range guard of ln leaves no feasible points")
+
+
 def test_system_constant_tied(capsys):
     code, report, _ = run_json(
         capsys, "system", "constant", "--alpha", "0", "--beta", "2", "--gamma", "1"

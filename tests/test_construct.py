@@ -264,6 +264,16 @@ def test_antiderivative_self_checks_and_core_patterns():
         assert proven_zero(sub(antiderivative(parse(text), X), parse(expected))), text
 
 
+def test_antiderivative_of_monomial_times_fractional_linear_power():
+    """x*(x + a1)^(1/2) integrates to powers (x + a1)^(3/2), (x + a1)^(5/2),
+    which the self-check can only prove equal to the integrand once powers
+    of a sum above 1 are expanded down to their fractional part."""
+    e = parse("x*a1*(x + a1)^(1/2)")
+    F = antiderivative(e, X)
+    assert proven_zero(sub(diff(F, X), e))
+    assert proven_zero(parse("(x + 1)^(3/2) - (x + 1)*(x + 1)^(1/2)"))
+
+
 def test_antiderivative_over_time_handles_function_orders():
     assert antiderivative(FuncSym("f1", 2), T) == FuncSym("f1", 1)
     assert proven_zero(sub(antiderivative(parse("2/t"), T), parse("2*ln(t)")))

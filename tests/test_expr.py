@@ -1,7 +1,11 @@
 """Expression kernel: parsing, canonicalization, differentiation,
 evaluation, and tri-state equivalence."""
 
+import copy
+import math
+import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -46,6 +50,7 @@ from nullag import (
     total_dt,
 )
 
+from nullag.expr import sort_key
 from oracles import check_total_dt_against_fd, check_partials_against_fd
 
 
@@ -383,3 +388,48 @@ def test_total_dt_is_the_jet_prolongation(corpus_pairs):
             mul(XDDDOT, partial(e, "xddot")),
         )
         assert total_dt(e) == assembled, name
+
+
+# ---------------------------------------------------------------------------
+# the cached ordering key
+
+
+def _fresh(e):
+    """An equal tree whose nodes have never had their key computed."""
+    return pickle.loads(pickle.dumps(e))
+
+
+def _check_cached_key(e):
+    key = sort_key(e)
+    assert sort_key(parse(to_string(e))) == key
+    fresh = _fresh(e)
+    with pytest.raises(AttributeError):
+        fresh._key
+    assert fresh == e and hash(fresh) == hash(e)
+    assert sort_key(fresh) == key and fresh == e and hash(fresh) == hash(e)
+    copied = copy.deepcopy(e)
+    assert copied == e and sort_key(copied) == key
+
+
+@given(_trees(3))
+def test_cached_key_is_the_key_of_a_fresh_tree(raw):
+    _check_cached_key(_canonical_or_skip(raw))
+
+
+def test_cached_key_over_corpus(corpus_pairs):
+    for pair in corpus_pairs.values():
+        for e in (pair.B, pair.C, pair.assembled().body, total_dt(pair.assembled().body)):
+            _check_cached_key(e)
+
+
+def test_key_is_not_a_field():
+    assert "_key" not in {f.name for c in (Const, Sum, Product, Power, Apply) for f in fields(c)}
+    e = parse("x'*exp(a0*x) + 1/(x + t)")
+    assert sort_key(e) is e._key
+
+
+def test_key_of_a_const_beyond_float_range():
+    huge = Fraction(10**400)
+    assert sort_key(Const(huge)) == (0, (math.inf, str(huge)))
+    assert sort_key(Const(-huge)) == (0, (-math.inf, str(-huge)))
+    assert sort_key(_fresh(Const(-huge)))[1][0] == -math.inf
