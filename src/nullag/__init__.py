@@ -16,7 +16,6 @@ from .expr import (
     Expr,
     ExprError,
     FuncSym,
-    GuardViolation,
     JetOrderError,
     JetSym,
     Power,
@@ -37,13 +36,11 @@ from .expr import (
     cos,
     diff,
     div,
-    evaluate,
     exp,
     free_atoms,
     instantiate,
     ln,
     mul,
-    partial,
     pow_,
     proven_zero,
     sin,
@@ -88,7 +85,6 @@ from .construct import (
     DenominatorVanishes,
     FractionSpec,
     HarmonicLagrangian,
-    SingularAtOriginWarning,
     antiderivative,
     build_nonstandard_null,
     build_null,

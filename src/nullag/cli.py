@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -455,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    warnings.simplefilter("ignore", category=UserWarning)
     try:
         return args.func(args)
     except (ParseError, AntiderivativeUnsupported, ValueError, OSError) as err:

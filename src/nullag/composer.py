@@ -108,8 +108,9 @@ class Composer:
         return cls(f"power({k})", pow_(_SLOT, k))
 
     @classmethod
-    def from_expr(cls, body: Expr, slot: ConstSym = ConstSym("L")) -> "Composer":
-        body = substitute(body, {slot: _SLOT})
+    def from_expr(cls, body: Expr) -> "Composer":
+        """Composer whose slot is the named constant L of body."""
+        body = substitute(body, {ConstSym("L"): _SLOT})
         return cls(f"user({to_string(body)})", body)
 
 
@@ -121,23 +122,28 @@ CATALOG = {
 }
 
 
-def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
-    """Lagrangian F(L.body); inherits L's guards plus F's range guards: each
-    guard collect_guards finds on the slot of F's body (ln(L) needs L > 0,
-    1/L needs L != 0), with L.body in the slot.
-
-    Raises RangeGuardViolated when the range guards leave no feasible
-    sample points in any instantiation round of the opaque functions,
-    carrying a violating point as witness.
-    """
+def _composed_domain(F: Composer, L: Lagrangian) -> Domain:
+    """L's domain plus F's range guards: each guard collect_guards finds on
+    the slot of F's body (ln(L) needs L > 0, 1/L needs L != 0), with L.body
+    in the slot."""
     range_guards = [
         Guard(substitute(g.expr, {_SLOT: L.body}), g.positive)
         for g in dict.fromkeys(collect_guards(F.body))
         if _SLOT in ex.free_atoms(g.expr)
     ]
-    domain = L.domain.with_guards(*range_guards)
+    return L.domain.with_guards(*range_guards)
+
+
+def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
+    """Lagrangian F(L.body) on _composed_domain(F, L).
+
+    Raises RangeGuardViolated when the range guards leave no feasible
+    sample points in any instantiation round of the opaque functions,
+    carrying a violating point as witness.
+    """
+    domain = _composed_domain(F, L)
     composed = Lagrangian(F(L.body), domain)
-    if range_guards:
+    if domain.guards != L.domain.guards:
         rng = random.Random(seed)
         names = sorted(set().union(*(ex.func_names(g.expr) for g in domain.guards)))
         rounds = instantiation_rounds(names)
@@ -236,16 +242,18 @@ def eom_from_lagrangian(L: Lagrangian) -> EquationOfMotion:
 
 
 def composed_eom(F: Composer, L: Lagrangian) -> EquationOfMotion:
-    """Equation of motion of the composed Lagrangian F(L):
-    p_L*F''(L)*dL/dt + (dp_L/dt - dL/dx)*F'(L); reduces to the
-    Euler-Lagrange residual for F = identity."""
+    """Equation of motion of the composed Lagrangian F(L), on the domain of
+    compose(F, L): p_L*F''(L)*dL/dt + (dp_L/dt - dL/dx)*F'(L); reduces to
+    the Euler-Lagrange residual for F = identity."""
     p = momentum(L)
     body = L.body
     residual = add(
         mul(p, F.deriv2(body), total_dt(body)),
         mul(sub(total_dt(p), diff(body, X)), F.deriv1(body)),
     )
-    return EquationOfMotion(residual, xddot_coefficient(residual), "composition", L.domain)
+    return EquationOfMotion(
+        residual, xddot_coefficient(residual), "composition", _composed_domain(F, L)
+    )
 
 
 def conservation_eom(pair: NullPair, *, seed: int = 0) -> EquationOfMotion:

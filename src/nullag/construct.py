@@ -17,7 +17,6 @@ integration.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,10 +60,6 @@ class AntiderivativeUnsupported(ex.ExprError):
 
 class DenominatorVanishes(ex.ExprError):
     """A fractional generating function has an identically zero denominator."""
-
-
-class SingularAtOriginWarning(UserWarning):
-    """C(x, t) carries a g(t)/x atom and x = 0 may lie in the domain box."""
 
 
 def _varfree(e: Expr, var: JetSym) -> bool:
@@ -210,48 +205,24 @@ def _monomial_times_linear_power(
 # generating-function construction
 
 
-def solve_C(B: Expr, *, xc_shift: Expr = ZERO, domain: Domain | None = None) -> Expr:
+def solve_C(B: Expr) -> Expr:
     """Displacement coefficient C with d(xC)/dx = dB/dt.
 
-    The additive function of t in xC is fixed to zero unless xc_shift is
-    given.  When dividing xC by x introduces a g(t)/x atom, a
-    SingularAtOriginWarning is emitted if the domain box may contain x = 0.
+    The additive function of t in xC is fixed to zero.  C may carry a g(t)/x
+    term; the assembled C*x stays regular at x = 0.
     """
-    if xc_shift != ZERO and not _varfree(xc_shift, X):
-        raise ValueError("xc_shift must be a function of t only")
-    xC = add(antiderivative(diff(B, T), X), xc_shift)
-    C = mul(xC, pow_(X, -1))
-    if _has_negative_x_power(C) and (domain is None or domain.x[0] <= 0.0 <= domain.x[1]):
-        warnings.warn(
-            "C carries a 1/x term; the assembled Lagrangian C*x stays regular but C "
-            "itself is singular at x = 0",
-            SingularAtOriginWarning,
-            stacklevel=2,
-        )
-    return C
-
-
-def _has_negative_x_power(e: Expr) -> bool:
-    terms = e.terms if isinstance(e, Sum) else (e,)
-    for term in terms:
-        _, factors = as_coeff_factors(term)
-        for f in factors:
-            if isinstance(f, Power) and f.exponent < 0 and f.base == X:
-                return True
-    return False
+    return mul(antiderivative(diff(B, T), X), pow_(X, -1))
 
 
 def build_null(
     B: Expr,
     f: Expr = ZERO,
-    domain: Domain | None = None,
+    domain: Domain = DEFAULT_DOMAIN,
     *,
     seed: int = 0,
 ) -> NullPair:
     """Certified NullPair generated by B with additive time term f."""
-    domain = domain or DEFAULT_DOMAIN
-    C = solve_C(B, domain=domain)
-    return NullPair.certified(B, C, f, domain, seed=seed)
+    return NullPair.certified(B, solve_C(B), f, domain, seed=seed)
 
 
 def weighted_B(e: Expr, n: int) -> Expr:
@@ -311,7 +282,7 @@ def harmonic(base: NullPair, n: int, *, seed: int = 0) -> HarmonicLagrangian:
     B_n = weighted_B(base.B, n)
     xC_n = weighted_B(mul(X, base.C), n)
     body = add(mul(B_n, XDOT), xC_n, base.f)
-    check = is_null(body, base.domain, seed=seed)
+    check = is_null(Lagrangian(body, base.domain), seed=seed)
     if not check:
         raise NullCertificationFailed(f"harmonic of order {n} failed nullity: {check.witness}")
     return HarmonicLagrangian(base, n, B_n, xC_n, body, certificate=check)
@@ -345,7 +316,7 @@ class FractionSpec:
 def build_nonstandard_null(
     spec: FractionSpec,
     f: Expr = ZERO,
-    domain: Domain | None = None,
+    domain: Domain = DEFAULT_DOMAIN,
     *,
     seed: int = 0,
 ) -> NullPair:
@@ -353,13 +324,11 @@ def build_nonstandard_null(
     D = spec.denominator()
     if D == ZERO:
         raise DenominatorVanishes("f2*x + f3*t + f4 is identically zero")
-    domain = domain or DEFAULT_DOMAIN
     guard = Guard(D, positive=True)
     if guard not in domain.guards:
         domain = domain.with_guards(guard)
     B = mul(spec.f1, pow_(D, -1))
-    C = solve_C(B, domain=domain)
-    return NullPair.certified(B, C, f, domain, seed=seed)
+    return NullPair.certified(B, solve_C(B), f, domain, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import expr as ex
-from .expr import EPS_GUARD, Apply, Bindings, ConstSym, Expr, Power, Sum, Product, compile_expr
+from .expr import Apply, Bindings, ConstSym, Expr, Power, Sum, Product, compile_expr
 from .parser import parse
+
+# margin by which guarded quantities must stay away from their singular sets
+EPS_GUARD = 1e-6
 
 
 class InfeasibleDomainError(ex.ExprError):

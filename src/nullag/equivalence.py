@@ -74,7 +74,7 @@ class EquivalenceReport:
 def equivalent(
     e1: Expr,
     e2: Expr,
-    domain: Domain | None = None,
+    domain: Domain = DEFAULT_DOMAIN,
     *,
     eps: float = EPS_EQ,
     seed: int = 0,
@@ -85,7 +85,6 @@ def equivalent(
     points per instantiation round, Distinct with a witness otherwise.
     Raises InfeasibleDomainError when no sampled point of any round gave
     finite values of both sides, since then nothing was compared."""
-    domain = domain or DEFAULT_DOMAIN
     if constants:
         # bind the exact rational value of each constant before the proof, so
         # a proof never rests on float rounding; the sampler still receives
@@ -142,11 +141,6 @@ def equivalent(
 
 
 def vanishes(
-    e: Expr,
-    domain: Domain | None = None,
-    *,
-    eps: float = EPS_EQ,
-    seed: int = 0,
-    constants: dict[str, float] | None = None,
+    e: Expr, domain: Domain = DEFAULT_DOMAIN, *, eps: float = EPS_EQ, seed: int = 0
 ) -> EquivalenceReport:
-    return equivalent(e, ZERO, domain, eps=eps, seed=seed, constants=constants)
+    return equivalent(e, ZERO, domain, eps=eps, seed=seed)

@@ -4,8 +4,9 @@ Expressions are trees over the jet symbols x, x', x'', x''', the time
 variable t, named constants, and opaque time-functions f(t) that carry a
 derivative order.  Every public constructor canonicalizes its result:
 sums of monomials with merged rational coefficients, a deterministic total
-ordering of atoms, powers of sums above 1 expanded down to their fractional
-part (u^(5/2) is u^2 expanded times u^(1/2)), x^0 and empty products
+ordering of atoms, powers of sums and products above 1 expanded down to
+their fractional part (u^(5/2) is u^2 expanded times u^(1/2)), x^0 and
+empty products
 collapsed to 1, zero coefficients dropped, and exponentials merged via
 exp(a)*exp(b) = exp(a+b).  Rational multiples of ln(u) inside an exp are
 converted to powers, so exp(q*ln(u)) and u^q meet in the same canonical
@@ -28,9 +29,6 @@ Number = Union[int, float, Fraction]
 APPLY_FUNCS = ("exp", "ln", "sin", "cos", "abs")
 JET_NAMES = ("x", "xdot", "xddot", "xdddot", "t")
 
-# margin by which guarded quantities must stay away from their singular sets
-EPS_GUARD = 1e-6
-
 
 class ExprError(Exception):
     """Base class for symbolic-kernel errors."""
@@ -41,15 +39,11 @@ class JetOrderError(ExprError):
 
 
 class EvaluationError(ExprError):
-    """Numeric evaluation failed (guard violation, domain error, overflow)."""
+    """Numeric evaluation failed (domain error, overflow)."""
 
 
 class UnboundSymbolError(EvaluationError):
     """An atom had no numeric binding or function instantiation."""
-
-
-class GuardViolation(EvaluationError):
-    """A denominator or ln argument came too close to its singular set."""
 
 
 class DivisionByZero(ExprError, ZeroDivisionError):
@@ -369,13 +363,11 @@ def pow_(base, exponent: Number) -> Expr:
         if q.denominator == 1:
             return pow_(b.base, b.exponent * q)
         return Power(b, q)
-    if isinstance(b, Product):
-        if q.denominator == 1:
-            return mul(*(pow_(f, q) for f in b.factors))
-        return Power(b, q)
-    if isinstance(b, Sum) and q > 1:
+    if isinstance(b, Product) and q.denominator == 1:
+        return mul(*(pow_(f, q) for f in b.factors))
+    if isinstance(b, (Sum, Product)) and q > 1:
         # u^(n + r) = u^n * u^r with u^n expanded, so that u^(3/2) and
-        # u*u^(1/2) (which mul distributes) meet in one form
+        # u*u^(1/2) (which mul distributes or flattens) meet in one form
         n = q.numerator // q.denominator
         r: Expr = b
         for _ in range(n - 1):
@@ -508,17 +500,6 @@ def _diff(e: Expr, sym: Expr) -> Expr:
             # d|u| = u * u' / |u|, valid away from u = 0
             return mul(e.arg, pow_(e, _FM1), d)
     raise TypeError(f"cannot differentiate {e!r}")
-
-
-def partial(e: Expr, sym) -> Expr:
-    """Partial derivative with respect to one of x, xdot, xddot, xdddot, t."""
-    if isinstance(sym, str):
-        if sym not in _JETS:
-            raise ValueError(f"unknown jet symbol {sym!r}")
-        sym = _JETS[sym]
-    if not isinstance(sym, JetSym):
-        raise TypeError("partial expects a jet symbol or t")
-    return _diff(e, sym)
 
 
 def total_dt(e: Expr) -> Expr:
@@ -686,97 +667,18 @@ def proven_zero(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation
+# sample points
 
 
 class Bindings:
     """Numeric values for jets and named constants plus function
-    instantiations (expressions over t only).  Treat instances as immutable
-    after construction."""
+    instantiations (expressions over t only): one sampled point.  Treat
+    instances as immutable after construction."""
 
-    def __init__(self, jets=None, funcs=None, constants=None, **jet_values):
+    def __init__(self, jets=None, funcs=None, constants=None):
         self.jets: dict[str, Number] = dict(jets or {})
-        for name, v in jet_values.items():
-            if name not in JET_NAMES:
-                raise ValueError(f"unknown jet symbol {name!r}")
-            self.jets[name] = v
         self.funcs: dict[str, Expr] = dict(funcs or {})
         self.constants: dict[str, Number] = dict(constants or {})
-
-
-def _exactify(v: Number) -> Number:
-    if isinstance(v, int):
-        return Fraction(v)
-    return v
-
-
-def evaluate(e: Expr, bindings: Bindings) -> Number:
-    """Evaluate to a finite real; exact rational arithmetic is kept whenever
-    every input is rational and no transcendental node appears.  The
-    tree-walking reference that tests hold compile_expr to."""
-
-    def ev(e: Expr) -> Number:
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, JetSym):
-            try:
-                return _exactify(bindings.jets[e.name])
-            except KeyError:
-                raise UnboundSymbolError(f"jet symbol {e.name!r} is unbound") from None
-        if isinstance(e, ConstSym):
-            try:
-                return _exactify(bindings.constants[e.name])
-            except KeyError:
-                raise UnboundSymbolError(f"named constant {e.name!r} is unbound") from None
-        if isinstance(e, FuncSym):
-            raise UnboundSymbolError(f"opaque function {e.name!r} has no instantiation")
-        if isinstance(e, Sum):
-            acc: Number = Fraction(0)
-            for t in e.terms:
-                acc = acc + ev(t)
-            return acc
-        if isinstance(e, Product):
-            acc = Fraction(1)
-            for f in e.factors:
-                acc = acc * ev(f)
-            return acc
-        if isinstance(e, Power):
-            v = ev(e.base)
-            q = e.exponent
-            if q < 0 and abs(v) < EPS_GUARD:
-                raise GuardViolation(f"denominator {to_string(e.base)} = {float(v):g} within guard margin")
-            if q.denominator == 1:
-                if isinstance(v, Fraction):
-                    return v ** q.numerator
-                return float(v) ** q.numerator
-            fv = float(v)
-            if fv < 0:
-                raise EvaluationError(f"fractional power of negative value {fv:g}")
-            return fv ** float(q)
-        if isinstance(e, Apply):
-            v = ev(e.arg)
-            if e.func == "abs":
-                return abs(v)
-            fv = float(v)
-            try:
-                if e.func == "exp":
-                    return math.exp(fv)
-                if e.func == "ln":
-                    if fv <= 0:
-                        raise EvaluationError(f"ln of non-positive value {fv:g}")
-                    return math.log(fv)
-                if e.func == "sin":
-                    return math.sin(fv)
-                if e.func == "cos":
-                    return math.cos(fv)
-            except OverflowError:
-                raise EvaluationError("overflow in elementary function") from None
-        raise TypeError(f"cannot evaluate {e!r}")
-
-    result = ev(instantiate(e, bindings.funcs))
-    if isinstance(result, float) and not math.isfinite(result):
-        raise EvaluationError("evaluation produced a non-finite value")
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import expr as ex
 from .domain import DomainExit, Guard, guard_predicate
@@ -39,12 +39,11 @@ class NonFiniteState(ex.ExprError):
 class IVP:
     """Initial value problem xddot = g(x, xdot, t) on [t0, t1] with step h.
 
-    g may be a compiled callable or an Expr (compiled with the given
-    constants).  Guards are checked, with the same constants, at every
-    accepted step.
+    integrate compiles g with the given constants; guards are checked, with
+    the same constants, at every accepted step.
     """
 
-    g: Callable[[float, float, float], float] | Expr
+    g: Expr
     t0: float
     x0: float
     v0: float
@@ -64,11 +63,6 @@ class IVP:
         steps = (self.t1 - self.t0) / self.h
         if steps > MAX_STEPS:
             raise ValueError(f"(t1 - t0)/h = {steps:g} steps exceeds MAX_STEPS = {MAX_STEPS}")
-
-    def right_side(self) -> Callable[[float, float, float], float]:
-        if isinstance(self.g, Expr):
-            return compile_expr(self.g, ("x", "xdot", "t"), constants=self.constants)
-        return self.g
 
 
 @dataclass
@@ -96,7 +90,7 @@ def integrate(ivp: IVP) -> Trajectory:
     that leaves the guards or where the right-hand side is undefined
     (ZeroDivisionError, ValueError) raises DomainExit; one that overflows
     raises NonFiniteState.  Both carry the time at the end of that step."""
-    g = ivp.right_side()
+    g = compile_expr(ivp.g, ("x", "xdot", "t"), constants=ivp.constants)
     guards = ivp.guards
     inside = guard_predicate(guards, ("x", "xdot", "t"), constants=ivp.constants)
     t0, x0, v0, t1, step = float(ivp.t0), float(ivp.x0), float(ivp.v0), float(ivp.t1), float(ivp.h)
@@ -165,18 +159,18 @@ class DriftReport:
 
 
 def invariant_values(
-    pair_or_body: NullPair | Expr,
+    pair: NullPair,
     traj: Trajectory,
     *,
     constants: dict | None = None,
 ) -> tuple[float, ...]:
-    body = pair_or_body.assembled().body if isinstance(pair_or_body, NullPair) else pair_or_body
-    fn = compile_expr(body, ("x", "xdot", "t"), constants=constants)
+    """Value of the assembled null Lagrangian at each trajectory point."""
+    fn = compile_expr(pair.assembled().body, ("x", "xdot", "t"), constants=constants)
     return tuple([float(fn(x, v, t)) for x, v, t in zip(traj.x, traj.v, traj.t)])
 
 
 def drift(
-    pair_or_body: NullPair | Expr,
+    pair: NullPair,
     traj: Trajectory,
     *,
     eps: float = EPS_DRIFT,
@@ -184,7 +178,7 @@ def drift(
 ) -> DriftReport:
     """Max |L_k - L_0| of the null-Lagrangian value along the trajectory;
     passes iff <= eps*(1 + |L_0|)."""
-    values = invariant_values(pair_or_body, traj, constants=constants)
+    values = invariant_values(pair, traj, constants=constants)
     initial = values[0]
     deviations = [abs(L - initial) for L in values]
     # max() passes over a NaN that is not the first item; the sum keeps it

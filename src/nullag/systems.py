@@ -199,7 +199,7 @@ def build_timedep(
     gamma1=None,
     alpha1=ZERO,
     *,
-    domain: Domain | None = None,
+    domain: Domain = DEFAULT_DOMAIN,
     seed: int = 0,
 ) -> SystemCase:
     """Time-dependent catalog branch (alpha1 = 0).
@@ -210,7 +210,6 @@ def build_timedep(
     quadratic-damping case.
     """
     beta1, alpha1 = _as_expr(beta1), _as_expr(alpha1)
-    domain = domain or DEFAULT_DOMAIN
     if not _is_zero(alpha1):
         if not ex.proven_zero(diff(alpha1, T)):
             raise ConstraintViolated(
@@ -267,7 +266,7 @@ def build_displacement(
     gamma2=None,
     *,
     ctilde=ZERO,
-    domain: Domain | None = None,
+    domain: Domain = DEFAULT_DOMAIN,
     seed: int = 0,
 ) -> SystemCase:
     """Displacement-dependent catalog branch (beta constant).
@@ -285,7 +284,6 @@ def build_displacement(
         add(mul(X, diff(gamma2, X)), mul(gamma2, add(Const(Fraction(1)), mul(alpha2, X)))),
         mul(Const(Fraction(1, 4)), pow_(beta0, 2)),
     )
-    domain = domain or DEFAULT_DOMAIN
     rep = vanishes(constraint, domain, seed=seed)
     if rep.verdict is Verdict.DISTINCT:
         raise ConstraintViolated(
@@ -343,16 +341,10 @@ class ComparisonTriple:
         }
 
 
-def comparison_catalog(system: str | Classification, *, seed: int = 0) -> ComparisonTriple:
-    """Comparison triple for inertia, quadratic damping, or the tied
+def comparison_catalog(key: str, *, seed: int = 0) -> ComparisonTriple:
+    """Comparison triple for "inertia", "quadratic" (damping), or the "tied"
     oscillator; constants stay symbolic (bind DEFAULT_COMPARISON_CONSTANTS
     or your own values for numeric work)."""
-    key = system.value if isinstance(system, Classification) else system
-    key = {
-        "Inertia": "inertia",
-        "QuadraticDamping": "quadratic",
-        "DampedOscillatorTied": "tied",
-    }.get(key, key)
     if key == "inertia":
         nsd_domain = DEFAULT_DOMAIN.with_guards(
             Guard(parse("C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2)")),
@@ -391,4 +383,4 @@ def comparison_catalog(system: str | Classification, *, seed: int = 0) -> Compar
             ),
             target_residual=_target_residual(ZERO, ConstSym("b0"), parse("1/4*b0^2")),
         )
-    raise ValueError(f"unknown comparison system {system!r}; pick inertia, quadratic, or tied")
+    raise ValueError(f"unknown comparison system {key!r}; pick inertia, quadratic, or tied")

@@ -117,11 +117,10 @@ class NullPair:
         B: Expr,
         C: Expr,
         f: Expr = ZERO,
-        domain: Domain | None = None,
+        domain: Domain = DEFAULT_DOMAIN,
         *,
         seed: int = 0,
     ) -> "NullPair":
-        domain = domain or DEFAULT_DOMAIN
         for name, e, allowed in (("B", B, {"x", "t"}), ("C", C, {"x", "t"}), ("f", f, {"t"})):
             bad = free_jets(e) - allowed
             if bad:
@@ -224,22 +223,11 @@ def from_gauge(phi: GaugeFunction) -> Lagrangian:
     return L
 
 
-def is_null(
-    L: Lagrangian | Expr,
-    domain: Domain | None = None,
-    *,
-    seed: int = 0,
-    eps: float = EPS_EQ,
-) -> NullReport:
-    """ProvenNull / NumericallyNull / NotNull with witness."""
-    if isinstance(L, Lagrangian):
-        domain = domain or L.domain
-        body = L.body
-    else:
-        domain = domain or DEFAULT_DOMAIN
-        body = L
-    residual = euler_lagrange_residual(body)
-    rep = vanishes(residual, domain, seed=seed, eps=eps)
+def is_null(L: Lagrangian, *, seed: int = 0, eps: float = EPS_EQ) -> NullReport:
+    """ProvenNull / NumericallyNull / NotNull with witness, sampled on
+    L.domain."""
+    residual = euler_lagrange_residual(L)
+    rep = vanishes(residual, L.domain, seed=seed, eps=eps)
     if rep.verdict is Verdict.PROVEN_EQUAL:
         return NullReport(NullVerdict.PROVEN_NULL, residual)
     if rep.verdict is Verdict.DISTINCT:

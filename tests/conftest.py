@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,22 +10,11 @@ settings.register_profile(
 settings.load_profile("fast")
 
 
-@pytest.fixture(autouse=True)
-def _quiet_singularity_warnings():
-    # the trig/exp family legitimately emits a 1/x-term warning; tests that
-    # assert on it use pytest.warns explicitly
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=UserWarning)
-        yield
-
-
 @pytest.fixture(scope="session")
 def corpus_pairs():
     from corpus import all_pairs
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=UserWarning)
-        return all_pairs(seed=0)
+    return all_pairs(seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -223,6 +223,13 @@ def test_catalog_range_guards():
         assert _guards(compose(F, pair.assembled())) == expected[F.name], F.name
 
 
+def test_composed_eom_keeps_the_range_guards():
+    F, L = CATALOG["ln"](), Lagrangian(parse("x'*exp(a0*x)"))
+    eom = composed_eom(F, L)
+    assert ("x'*exp(x*a0)", True) in [(to_string(g.expr), g.positive) for g in eom.guards()]
+    assert eom.domain == compose(F, L).domain
+
+
 def test_compose_instantiates_opaque_functions():
     composed = compose(Composer.ln(), Lagrangian(parse("f1(t)*x' + 5")))
     assert composed.body == parse("ln(f1(t)*x' + 5)")

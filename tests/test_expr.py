@@ -19,7 +19,6 @@ from nullag import (
     Domain,
     EvaluationError,
     FuncSym,
-    GuardViolation,
     Guard,
     JetOrderError,
     ParseError,
@@ -36,13 +35,12 @@ from nullag import (
     ZERO,
     add,
     canonicalize,
+    comparison_catalog,
     compile_expr,
     diff,
     equivalent,
-    evaluate,
     mul,
     parse,
-    partial,
     pow_,
     proven_zero,
     sample_points,
@@ -50,8 +48,9 @@ from nullag import (
     total_dt,
 )
 
-from nullag.expr import sort_key
-from oracles import check_total_dt_against_fd, check_partials_against_fd
+from nullag.domain import instantiation_rounds, point_function
+from nullag.expr import func_names, sort_key
+from oracles import GuardViolation, check_partials_against_fd, check_total_dt_against_fd, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +113,15 @@ def test_zero_coefficients_dropped():
 def test_integer_powers_of_sums_expand():
     assert parse("(x+1)^2") == parse("x^2 + 2*x + 1")
     assert parse("(x+1)^3") == parse("x^3 + 3*x^2 + 3*x + 1")
+
+
+def test_fractional_powers_above_one_split_off_their_fractional_part():
+    for text in ("(x + t)^(3/2)", "(x*t)^(3/2)", "(x*t)^(5/2)"):
+        e = parse(text)
+        assert parse(to_string(e)) == e, text
+    assert parse("(x*t)^(3/2)") == parse("x*t*(x*t)^(1/2)")
+    assert proven_zero(parse("(x*t)^(3/2) - x*t*(x*t)^(1/2)"))
+    assert proven_zero(parse("(x + t)^(3/2) - (x + t)*(x + t)^(1/2)"))
 
 
 def test_exponentials_merge():
@@ -179,11 +187,11 @@ def test_print_parse_round_trip(raw):
 
 @given(_trees(2), _trees(2), st.fractions(min_value=-3, max_value=3, max_denominator=4),
        st.fractions(min_value=-3, max_value=3, max_denominator=4),
-       st.sampled_from(["x", "xdot", "t"]))
+       st.sampled_from([X, XDOT, T]))
 def test_differentiation_linearity(raw1, raw2, a, b, sym):
     e1, e2 = _canonical_or_skip(raw1), _canonical_or_skip(raw2)
-    combined = partial(add(mul(Const(a), e1), mul(Const(b), e2)), sym)
-    separate = add(mul(Const(a), partial(e1, sym)), mul(Const(b), partial(e2, sym)))
+    combined = diff(add(mul(Const(a), e1), mul(Const(b), e2)), sym)
+    separate = add(mul(Const(a), diff(e1, sym)), mul(Const(b), diff(e2, sym)))
     assert combined == separate
 
 
@@ -192,16 +200,16 @@ def test_differentiation_linearity(raw1, raw2, a, b, sym):
 
 
 def test_partial_power_rule():
-    assert partial(parse("x^2*x'"), "x") == parse("2*x*x'")
+    assert diff(parse("x^2*x'"), X) == parse("2*x*x'")
 
 
 def test_partial_of_opaque_coefficient_times_sine():
-    assert partial(parse("f1(t)*sin(x)"), "x") == parse("f1(t)*cos(x)")
+    assert diff(parse("f1(t)*sin(x)"), X) == parse("f1(t)*cos(x)")
 
 
 def test_partial_time_of_exponential():
     e = parse("exp(a0*x + b0*t/2)")
-    assert partial(e, "t") == mul(parse("b0/2"), e)
+    assert diff(e, T) == mul(parse("b0/2"), e)
 
 
 def test_funcsym_derivative_rules():
@@ -247,53 +255,63 @@ def test_partials_match_finite_differences_at_guarded_points():
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: the reference evaluator of tests/oracles.py, and compile_expr
 
 
 def test_evaluate_exact_rational():
-    v = evaluate(parse("x' + x"), Bindings(x=1, xdot=0))
+    v = evaluate(parse("x' + x"), Bindings(jets={"x": 1, "xdot": 0}))
     assert v == 1 and isinstance(v, Fraction)
 
 
 def test_evaluate_affine_reciprocal():
-    b = Bindings(x=1, xdot=2, constants={"a1": 1, "a2": 1, "a4": 1})
+    b = Bindings(jets={"x": 1, "xdot": 2}, constants={"a1": 1, "a2": 1, "a4": 1})
     assert evaluate(parse("a1*x'/(a2*x + a4)"), b) == 1
 
 
 def test_evaluate_conserved_level_of_tied_pair():
-    b = Bindings(x=1, xdot=0, t=0, constants={"b0": 2})
+    b = Bindings(jets={"x": 1, "xdot": 0, "t": 0}, constants={"b0": 2})
     assert evaluate(parse("exp(b0*t/2)*(x' + b0*x/2)"), b) == pytest.approx(1.0)
 
 
 def test_evaluate_unbound_atom():
     with pytest.raises(UnboundSymbolError):
-        evaluate(parse("q0*x"), Bindings(x=1.0))
+        evaluate(parse("q0*x"), Bindings(jets={"x": 1.0}))
     with pytest.raises(UnboundSymbolError):
-        evaluate(parse("f9(t)"), Bindings(t=1.0))
+        evaluate(parse("f9(t)"), Bindings(jets={"t": 1.0}))
 
 
 def test_evaluate_guard_violation_near_singularity():
     with pytest.raises(GuardViolation):
-        evaluate(parse("1/x"), Bindings(x=1e-9))
+        evaluate(parse("1/x"), Bindings(jets={"x": 1e-9}))
 
 
 def test_evaluate_ln_of_nonpositive():
     with pytest.raises(EvaluationError):
-        evaluate(parse("ln(x)"), Bindings(x=-1.0))
+        evaluate(parse("ln(x)"), Bindings(jets={"x": -1.0}))
 
 
 def test_function_instantiation_derivatives_are_symbolic():
-    b = Bindings(t=2.0, funcs={"f1": parse("t^2")})
+    b = Bindings(jets={"t": 2.0}, funcs={"f1": parse("t^2")})
     assert evaluate(FuncSym("f1", 1), b) == pytest.approx(4.0)
     assert evaluate(FuncSym("f1", 2), b) == pytest.approx(2.0)
     assert evaluate(FuncSym("f1", 3), b) == 0
 
 
-def test_compile_expr_matches_evaluate():
-    e = parse("x'*exp(a0*x) + sin(t)/x")
-    fn = compile_expr(e, constants={"a0": 0.8})
-    b = Bindings(x=1.2, xdot=-0.4, t=0.9, constants={"a0": 0.8})
-    assert fn(1.2, -0.4, 0.9) == pytest.approx(float(evaluate(e, b)), rel=1e-12)
+def test_compile_expr_matches_evaluate(corpus_pairs):
+    """compile_expr agrees with the reference evaluator on every corpus body
+    and every catalog route's explicit form, at 20 guarded points of each
+    instantiation round."""
+    cases = [(pair.assembled().body, pair.domain) for pair in corpus_pairs.values()]
+    for name in ("inertia", "quadratic", "tied"):
+        for eom in comparison_catalog(name).routes().values():
+            cases.append((eom.explicit(), Domain(guards=eom.guards())))
+    rng = random.Random(0)
+    for e, domain in cases:
+        for funcs in instantiation_rounds(sorted(func_names(e))):
+            points = sample_points([e], domain, 20, rng, funcs=funcs)
+            fn = point_function(e, points[0])
+            for b in points:
+                assert fn(b) == pytest.approx(float(evaluate(e, b)), rel=1e-12, abs=0), to_string(e)
 
 
 def test_compiled_fractional_power_of_negative_base_raises():
@@ -382,10 +400,10 @@ def test_total_dt_is_the_jet_prolongation(corpus_pairs):
     for name, pair in corpus_pairs.items():
         e = pair.assembled().body
         assembled = add(
-            partial(e, "t"),
-            mul(XDOT, partial(e, "x")),
-            mul(XDDOT, partial(e, "xdot")),
-            mul(XDDDOT, partial(e, "xddot")),
+            diff(e, T),
+            mul(XDOT, diff(e, X)),
+            mul(XDDOT, diff(e, XDOT)),
+            mul(XDDDOT, diff(e, XDDOT)),
         )
         assert total_dt(e) == assembled, name
 
