@@ -27,7 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .domain import DEFAULT_DOMAIN, Domain, Guard, collect_guards, instantiation_rounds, point_function, sample_points
+from .domain import (
+    DEFAULT_DOMAIN,
+    Domain,
+    Guard,
+    collect_guards,
+    instantiation_rounds,
+    point_function,
+    sample_points,
+    unique_guards,
+)
 from .equivalence import EPS_EQ, N_EQ, Verdict, equivalent
 from .expr import (
     Const,
@@ -189,8 +198,8 @@ class EquationOfMotion:
         """The guards that go with explicit(): the domain guards plus those
         of the residual's structure (collect_guards), which keep every base
         that solve_leading clears nonzero, so the zero set of explicit() is
-        that of the residual."""
-        return self.domain.guards + collect_guards(self.residual)
+        that of the residual.  Each expression appears once (unique_guards)."""
+        return unique_guards(self.domain.guards + collect_guards(self.residual))
 
     def ivp(self, t0: float, x0: float, v0: float, t1: float, h: float, *, constants=None) -> IVP:
         """The initial value problem of explicit() under guards()."""

@@ -2,10 +2,11 @@
 
 A Domain is a closed box for x and t together with guard expressions that
 must stay nonzero (denominators) or positive (ln arguments) with a margin
-EPS_GUARD.  `guard_predicate` is the one check of guards: sampling,
-integration and the action quadrature all use it.  Sampling rejects
-candidate points that violate any guard; the box VELOCITY supplies values
-for xdot/xddot/xdddot and named constants are drawn away from zero so that
+EPS_GUARD.  `guard_source` is the one check of guards: sampling and the
+action quadrature run it through `guard_predicate`, and the integrator
+inlines it in its generated stepper.  Sampling rejects candidate points
+that violate any guard; the box VELOCITY supplies values for
+xdot/xddot/xdddot and named constants are drawn away from zero so that
 generic nonvanishing factors stay generic.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import expr as ex
-from .expr import Apply, Bindings, ConstSym, Expr, Power, Sum, Product, compile_expr
+from .expr import Apply, Bindings, ConstSym, Expr, Power, Sum, Product, _pysrc, compile_expr
 from .parser import parse
 
 # margin by which guarded quantities must stay away from their singular sets
@@ -121,6 +122,40 @@ def instantiation_rounds(names: list[str]) -> list[dict[str, Expr]]:
     ]
 
 
+def unique_guards(guards: Iterable[Guard]) -> tuple[Guard, ...]:
+    """Each guard expression once, at its first position; a positive guard
+    supersedes a nonzero one on the same expression."""
+    kept: dict[tuple, Guard] = {}
+    for g in guards:
+        key = ex.sort_key(g.expr)
+        if key not in kept or g.positive:
+            kept[key] = g
+    return tuple(kept.values())
+
+
+def guard_source(
+    guards: Iterable[Guard],
+    args: Iterable[str | ConstSym],
+    *,
+    funcs: dict[str, Expr] | None = None,
+    constants: dict[str, float] | None = None,
+    names: dict[str, str] | None = None,
+) -> str:
+    """Python source of one `and` expression over args that checks the
+    guards and the structural guards (collect_guards) inside their
+    expressions, each expression once: EPS_GUARD <= |g| < inf, or
+    EPS_GUARD <= g < inf for a positive guard.  names is passed to _pysrc;
+    the source needs math and inf (expr.define provides both).  An atom of
+    a guard that is not in args raises UnboundSymbolError."""
+    args = tuple(args)
+    found = unique_guards(Guard(ex.instantiate(g.expr, funcs), g.positive) for g in guards)
+    checks = []
+    for g in unique_guards(found + tuple(s for g in found for s in collect_guards(g.expr))):
+        value = _pysrc(ex.bound_body(g.expr, args, constants=constants), names)
+        checks.append(f"{EPS_GUARD!r} <= {value if g.positive else f'abs({value})'} < inf")
+    return " and ".join(checks) or "True"
+
+
 def guard_predicate(
     guards: Iterable[Guard],
     args: Iterable[str | ConstSym],
@@ -128,33 +163,18 @@ def guard_predicate(
     funcs: dict[str, Expr] | None = None,
     constants: dict[str, float] | None = None,
 ) -> Callable[..., bool]:
-    """One predicate of args checking the guards and the structural guards
-    (collect_guards) inside their expressions: EPS_GUARD <= |g| < inf, or
-    EPS_GUARD <= g < inf for a positive guard.  An arithmetic error counts
-    as a failed guard.  This is the only place guards are evaluated."""
-    checks: dict[tuple, Guard] = {}  # one per expression; positive implies nonzero
-    pending = [Guard(ex.instantiate(g.expr, funcs), g.positive) for g in guards]
-    while pending:
-        g = pending.pop()
-        key = ex.sort_key(g.expr)
-        if key not in checks:
-            pending.extend(collect_guards(g.expr))
-        if key not in checks or g.positive:
-            checks[key] = g
+    """guard_source compiled to a predicate of args.  An arithmetic error
+    counts as a failed guard.  This and the integrator, which inlines the
+    same source, are the only places guards are evaluated."""
     args = tuple(args)
-    compiled = [(compile_expr(g.expr, args, constants=constants), g.positive) for g in checks.values()]
-
-    def holds(*values) -> bool:
-        try:
-            for fn, positive in compiled:
-                v = fn(*values)
-                if not EPS_GUARD <= (v if positive else abs(v)) < math.inf:
-                    return False
-        except (ArithmeticError, ValueError):
-            return False
-        return True
-
-    return holds
+    test = guard_source(guards, args, funcs=funcs, constants=constants)
+    return ex.define(
+        f"def f({ex.signature(args)}):\n"
+        f"    try:\n"
+        f"        return {test}\n"
+        f"    except (ArithmeticError, ValueError):\n"
+        f"        return False\n"
+    )
 
 
 def sample_points(

@@ -691,7 +691,9 @@ def _param(atom: Expr) -> str:
     return atom.name if isinstance(atom, JetSym) else f"c_{atom.name}"
 
 
-def _pysrc(e: Expr) -> str:
+def _pysrc(e: Expr, names: Mapping[str, str] | None = None) -> str:
+    """Python source of e over plain floats.  names maps jet names to the
+    identifiers to use for them; without it a jet is its own name."""
     if isinstance(e, Const):
         v = e.value
         if isinstance(v, Fraction):
@@ -699,25 +701,65 @@ def _pysrc(e: Expr) -> str:
                 return f"({v.numerator})"
             return f"({v.numerator}/{v.denominator})"
         return f"({v!r})"
+    if isinstance(e, JetSym) and names is not None:
+        return names[e.name]
     if isinstance(e, (JetSym, ConstSym)):
         return _param(e)
     if isinstance(e, Sum):
-        return "(" + " + ".join(_pysrc(t) for t in e.terms) + ")"
+        return "(" + " + ".join(_pysrc(t, names) for t in e.terms) + ")"
     if isinstance(e, Product):
-        return "(" + " * ".join(_pysrc(f) for f in e.factors) + ")"
+        return "(" + " * ".join(_pysrc(f, names) for f in e.factors) + ")"
     if isinstance(e, Power):
         q = e.exponent
         if q.denominator == 1:
-            return f"({_pysrc(e.base)})**({q.numerator})"
+            return f"({_pysrc(e.base, names)})**({q.numerator})"
         # math.pow raises ValueError on a negative base instead of going complex
-        return f"math.pow({_pysrc(e.base)}, {q.numerator}/{q.denominator})"
+        return f"math.pow({_pysrc(e.base, names)}, {q.numerator}/{q.denominator})"
     if isinstance(e, Apply):
-        inner = _pysrc(e.arg)
+        inner = _pysrc(e.arg, names)
         if e.func == "abs":
             return f"abs({inner})"
         name = {"exp": "exp", "ln": "log", "sin": "sin", "cos": "cos"}[e.func]
         return f"math.{name}({inner})"
     raise TypeError(f"cannot compile {e!r}")
+
+
+def _params(args: Iterable[str | ConstSym]) -> list[Expr]:
+    return [_JETS[a] if isinstance(a, str) else a for a in args]
+
+
+def signature(args: Iterable[str | ConstSym]) -> str:
+    """Parameter list of a generated function of args (see compile_expr)."""
+    return ", ".join(_param(a) for a in _params(args))
+
+
+def bound_body(
+    e: Expr,
+    args: Iterable[str | ConstSym],
+    *,
+    funcs: Mapping[str, Expr] | None = None,
+    constants: Mapping[str, Number] | None = None,
+) -> Expr:
+    """e with the opaque functions and the given constants substituted, ready
+    for _pysrc; any atom left over that is not in args raises
+    UnboundSymbolError."""
+    body = instantiate(e, funcs)
+    if constants:
+        body = bind_constants(body, constants)
+    params = _params(args)
+    leftover = free_atoms(body) - set(params)
+    if leftover:
+        names = sorted(to_string(a) for a in leftover)
+        raise UnboundSymbolError(f"{names} unbound at compile time; compile args are {params}")
+    return body
+
+
+def define(src: str, **env) -> Callable:
+    """The function f that the generated source src defines.  The source
+    sees math, inf and env as globals."""
+    namespace = {"math": math, "inf": math.inf, **env}
+    exec(src, namespace)  # noqa: S102 - internally generated source
+    return namespace["f"]
 
 
 def compile_expr(
@@ -734,16 +776,9 @@ def compile_expr(
     left over that is not in args raises UnboundSymbolError.  Arithmetic
     errors (ZeroDivisionError, OverflowError, ValueError) reach the caller.
     """
-    body = instantiate(e, funcs)
-    if constants:
-        body = bind_constants(body, constants)
-    params = [_JETS[a] if isinstance(a, str) else a for a in args]
-    leftover = free_atoms(body) - set(params)
-    if leftover:
-        names = sorted(to_string(a) for a in leftover)
-        raise UnboundSymbolError(f"{names} unbound at compile time; compile args are {params}")
-    src = f"lambda {', '.join(_param(a) for a in params)}: {_pysrc(body)}"
-    return eval(src, {"math": math})  # noqa: S307 - internally generated source
+    args = tuple(args)
+    body = bound_body(e, args, funcs=funcs, constants=constants)
+    return define(f"def f({signature(args)}):\n    return {_pysrc(body)}\n")
 
 
 # ---------------------------------------------------------------------------

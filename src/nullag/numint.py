@@ -8,6 +8,13 @@ an equation of motion derived from a certified null Lagrangian, the
 Lagrangian value itself is a first integral; `drift` reports how well the
 integrated trajectory preserves it.  Trajectories and invariant values are
 tuples of Python floats.
+
+`integrate` generates one Python function per IVP that runs the whole RK4
+loop: the right-hand side is written out inline at each of the four stages
+and the guards (`domain.guard_source`) are one `and` expression tested after
+each step, so a step makes no function call for g or the guards.
+`invariant_values` likewise generates one list comprehension with the body
+of L_null inline.  Nothing generated is kept across calls.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import expr as ex
-from .domain import DomainExit, Guard, guard_predicate
-from .expr import Expr, compile_expr
+from .domain import DomainExit, Guard, guard_source
+from .expr import Expr, _pysrc, bound_body, define
 from .variational import NullPair
 
 EPS_DRIFT = 1e-7
@@ -39,8 +46,9 @@ class NonFiniteState(ex.ExprError):
 class IVP:
     """Initial value problem xddot = g(x, xdot, t) on [t0, t1] with step h.
 
-    integrate compiles g with the given constants; guards are checked, with
-    the same constants, at every accepted step.
+    integrate binds the given constants in g and in the guards and writes
+    both into the stepper it generates; the guards are tested at t0 and at
+    every accepted step.
     """
 
     g: Expr
@@ -83,57 +91,97 @@ class Trajectory:
         return self.t[-1], self.x[-1], self.v[-1]
 
 
-def integrate(ivp: IVP) -> Trajectory:
-    """Classical 4th-order fixed-step integration; local error O(h^5).
-
-    An initial state outside the guards raises DomainExit at t0.  A step
-    that leaves the guards or where the right-hand side is undefined
-    (ZeroDivisionError, ValueError) raises DomainExit; one that overflows
-    raises NonFiniteState.  Both carry the time at the end of that step."""
-    g = compile_expr(ivp.g, ("x", "xdot", "t"), constants=ivp.constants)
-    guards = ivp.guards
-    inside = guard_predicate(guards, ("x", "xdot", "t"), constants=ivp.constants)
-    t0, x0, v0, t1, step = float(ivp.t0), float(ivp.x0), float(ivp.v0), float(ivp.t1), float(ivp.h)
-    if guards and not inside(x0, v0, t0):
-        raise DomainExit(f"initial state lies outside the guarded domain at t={t0:g}", t0)
-    span = t1 - t0
-    n_full = int(math.floor(span / step * (1.0 + 1e-12)))
-    remainder = span - n_full * step
-    has_partial = remainder > 1e-12 * max(1.0, abs(t1))
-    ts = [t0]
-    xs = [x0]
-    vs = [v0]
-    t, x, v = t0, x0, v0
-    isfinite = math.isfinite
+# The whole RK4 loop of one IVP, generated by integrate.  {g1}..{g4} are the
+# right-hand side on each stage's variables; the stage arithmetic is that of
+# the classical method written out (k1x = v, k2x = v2, k3x = v3, k4x = v4).
+# {test} is the guard test of the state (x, v, t) at t0, and {check} that
+# test after each step (_CHECK, left out without guards): a guard that fails
+# or raises exits at that state's time t.
+_RK4 = """\
+def f(x, v, t, t1, step, n_full, n_steps, remainder):
     try:
-        for k in range(n_full + (1 if has_partial else 0)):
+        inside = {test}
+    except (ArithmeticError, ValueError):
+        inside = False
+    if not inside:
+        raise DomainExit(f"initial state lies outside the guarded domain at t={{t:g}}", t)
+    t0 = t
+    ts = [t]
+    xs = [x]
+    vs = [v]
+    try:
+        for k in range(n_steps):
             h = step if k < n_full else remainder
-            # one classical RK4 step, inline: with the small compiled right-hand
-            # sides a function call per step is a measurable share of the step
-            k1x = v
-            k1v = g(x, v, t)
-            k2x = v + 0.5 * h * k1v
-            k2v = g(x + 0.5 * h * k1x, v + 0.5 * h * k1v, t + 0.5 * h)
-            k3x = v + 0.5 * h * k2v
-            k3v = g(x + 0.5 * h * k2x, v + 0.5 * h * k2v, t + 0.5 * h)
-            k4x = v + h * k3v
-            k4v = g(x + h * k3x, v + h * k3v, t + h)
+            h2 = 0.5 * h
+            k1v = {g1}
+            x2 = x + h2 * v
+            v2 = v + h2 * k1v
+            t2 = t + h2
+            k2v = {g2}
+            x3 = x + h2 * v2
+            v3 = v + h2 * k2v
+            k3v = {g3}
+            x4 = x + h * v3
+            v4 = v + h * k3v
+            t4 = t + h
+            k4v = {g4}
             x, v = (
-                x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
+                x + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
                 v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
             )
             t = t0 + (k + 1) * step if k < n_full else t1
             if not (isfinite(x) and isfinite(v)):
-                raise NonFiniteState(f"state became non-finite at t={t:g}", t)
-            if guards and not inside(x, v, t):
-                raise DomainExit(f"trajectory left the guarded domain at t={t:g}", t)
-            ts.append(t)
+                raise NonFiniteState(f"state became non-finite at t={{t:g}}", t)
+{check}            ts.append(t)
             xs.append(x)
             vs.append(v)
     except OverflowError:
-        raise NonFiniteState(f"state overflowed in the step to t={t + h:g}", t + h) from None
+        raise NonFiniteState(f"state overflowed in the step to t={{t + h:g}}", t + h) from None
     except (ZeroDivisionError, ValueError) as err:
-        raise DomainExit(f"right-hand side undefined ({err}) in the step to t={t + h:g}", t + h) from None
+        raise DomainExit(f"right-hand side undefined ({{err}}) in the step to t={{t + h:g}}", t + h) from None
+    return ts, xs, vs
+"""
+
+_CHECK = """\
+            try:
+                inside = {test}
+            except (ArithmeticError, ValueError):
+                inside = False
+            if not inside:
+                raise DomainExit(f"trajectory left the guarded domain at t={{t:g}}", t)
+"""
+
+_JETS = ("x", "xdot", "t")
+_STAGES = (("x", "v", "t"), ("x2", "v2", "t2"), ("x3", "v3", "t2"), ("x4", "v4", "t4"))
+
+
+def integrate(ivp: IVP) -> Trajectory:
+    """Classical 4th-order fixed-step integration; local error O(h^5).
+
+    Runs one function generated for this IVP, with g and the guards inlined.
+    An initial state outside the guards raises DomainExit at t0.  A step
+    that leaves the guards or where the right-hand side is undefined
+    (ZeroDivisionError, ValueError) raises DomainExit; one that overflows
+    raises NonFiniteState.  Both carry the time at the end of that step."""
+    g = bound_body(ivp.g, _JETS, constants=ivp.constants)
+    names = [dict(zip(_JETS, stage)) for stage in _STAGES]
+    test = guard_source(ivp.guards, _JETS, constants=ivp.constants, names=names[0])
+    run = define(
+        _RK4.format(
+            test=test,
+            check=_CHECK.format(test=test) if ivp.guards else "",
+            **{f"g{i}": _pysrc(g, stage) for i, stage in enumerate(names, 1)},
+        ),
+        isfinite=math.isfinite,
+        DomainExit=DomainExit,
+        NonFiniteState=NonFiniteState,
+    )
+    t0, x0, v0, t1, step = float(ivp.t0), float(ivp.x0), float(ivp.v0), float(ivp.t1), float(ivp.h)
+    span = t1 - t0
+    n_full = int(math.floor(span / step * (1.0 + 1e-12)))
+    remainder = span - n_full * step
+    has_partial = remainder > 1e-12 * max(1.0, abs(t1))
+    ts, xs, vs = run(x0, v0, t0, t1, step, n_full, n_full + (1 if has_partial else 0), remainder)
     return Trajectory(tuple(ts), tuple(xs), tuple(vs), step)
 
 
@@ -165,8 +213,11 @@ def invariant_values(
     constants: dict | None = None,
 ) -> tuple[float, ...]:
     """Value of the assembled null Lagrangian at each trajectory point."""
-    fn = compile_expr(pair.assembled().body, ("x", "xdot", "t"), constants=constants)
-    return tuple([float(fn(x, v, t)) for x, v, t in zip(traj.x, traj.v, traj.t)])
+    body = bound_body(pair.assembled().body, _JETS, constants=constants)
+    # a body with a jet is a float on float columns; a constant one may be an int
+    value = _pysrc(body) if ex.free_atoms(body) else f"float({_pysrc(body)})"
+    values = define(f"def f(xs, vs, ts):\n    return [{value} for x, xdot, t in zip(xs, vs, ts)]\n")
+    return tuple(values(traj.x, traj.v, traj.t))
 
 
 def drift(

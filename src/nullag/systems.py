@@ -83,10 +83,6 @@ class SystemCase:
     constants: dict = field(default_factory=dict)
 
     @property
-    def has_null_lagrangian(self) -> bool:
-        return self.null_pair is not None
-
-    @property
     def B(self) -> Expr | None:
         return self.null_pair.B if self.null_pair else None
 

@@ -1,7 +1,9 @@
 """Independent numeric oracles for the symbolic operators.
 
 `evaluate` is a tree-walking reference evaluator that shares no code with
-`compile_expr`, which the tests hold to it.  The derivative oracles
+`compile_expr`, which the tests hold to it.  `reference_integrate` is the
+RK4 loop written out over a compiled right-hand side and guard predicate;
+the generated stepper of `integrate` must match it bit for bit.  The derivative oracles
 deliberately avoid the symbolic differentiation path they check: partial
 derivatives are compared against central finite differences of `evaluate`,
 and total time derivatives against finite differences along a cubic jet
@@ -14,6 +16,8 @@ from fractions import Fraction
 
 from nullag import (
     EPS_GUARD,
+    DomainExit,
+    NonFiniteState,
     Apply,
     Bindings,
     Const,
@@ -25,13 +29,15 @@ from nullag import (
     Product,
     Sum,
     UnboundSymbolError,
+    compile_expr,
     diff,
     free_atoms,
     instantiate,
     to_string,
     total_dt,
 )
-from nullag.domain import sample_points
+from nullag.domain import guard_predicate, sample_points
+from nullag.numint import Trajectory
 
 H_FD = 1e-6
 
@@ -175,3 +181,51 @@ def check_total_dt_against_fd(e, *, funcs=None, constants=None, n_points=20, see
         assert abs(fd - exact) <= rtol * (1.0 + abs(exact)), (
             f"total_dt of {e} mismatches FD: {exact} vs {fd}"
         )
+
+
+def reference_integrate(ivp):
+    """Classical RK4 over compile_expr(g), checking guard_predicate at t0 and
+    after each step; the same exits, with the same times, as integrate."""
+    g = compile_expr(ivp.g, ("x", "xdot", "t"), constants=ivp.constants)
+    guards = ivp.guards
+    inside = guard_predicate(guards, ("x", "xdot", "t"), constants=ivp.constants)
+    t0, x0, v0, t1, step = float(ivp.t0), float(ivp.x0), float(ivp.v0), float(ivp.t1), float(ivp.h)
+    if guards and not inside(x0, v0, t0):
+        raise DomainExit(f"initial state lies outside the guarded domain at t={t0:g}", t0)
+    span = t1 - t0
+    n_full = int(math.floor(span / step * (1.0 + 1e-12)))
+    remainder = span - n_full * step
+    has_partial = remainder > 1e-12 * max(1.0, abs(t1))
+    ts = [t0]
+    xs = [x0]
+    vs = [v0]
+    t, x, v = t0, x0, v0
+    isfinite = math.isfinite
+    try:
+        for k in range(n_full + (1 if has_partial else 0)):
+            h = step if k < n_full else remainder
+            k1x = v
+            k1v = g(x, v, t)
+            k2x = v + 0.5 * h * k1v
+            k2v = g(x + 0.5 * h * k1x, v + 0.5 * h * k1v, t + 0.5 * h)
+            k3x = v + 0.5 * h * k2v
+            k3v = g(x + 0.5 * h * k2x, v + 0.5 * h * k2v, t + 0.5 * h)
+            k4x = v + h * k3v
+            k4v = g(x + h * k3x, v + h * k3v, t + h)
+            x, v = (
+                x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
+                v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
+            )
+            t = t0 + (k + 1) * step if k < n_full else t1
+            if not (isfinite(x) and isfinite(v)):
+                raise NonFiniteState(f"state became non-finite at t={t:g}", t)
+            if guards and not inside(x, v, t):
+                raise DomainExit(f"trajectory left the guarded domain at t={t:g}", t)
+            ts.append(t)
+            xs.append(x)
+            vs.append(v)
+    except OverflowError:
+        raise NonFiniteState(f"state overflowed in the step to t={t + h:g}", t + h) from None
+    except (ZeroDivisionError, ValueError) as err:
+        raise DomainExit(f"right-hand side undefined ({err}) in the step to t={t + h:g}", t + h) from None
+    return Trajectory(tuple(ts), tuple(xs), tuple(vs), step)

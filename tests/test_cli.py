@@ -287,16 +287,16 @@ def test_simulate_non_number_is_an_input_error(capsys, a0):
 
 def test_simulate_compiles_the_invariant_once(capsys, tmp_path, monkeypatch):
     compiled = []
-    original = nullag.numint.compile_expr
+    original = nullag.numint.define
 
-    def counting(e, *args, **kwargs):
-        compiled.append(e)
-        return original(e, *args, **kwargs)
+    def counting(src, **env):
+        compiled.append(src)
+        return original(src, **env)
 
-    monkeypatch.setattr(nullag.numint, "compile_expr", counting)
+    monkeypatch.setattr(nullag.numint, "define", counting)
     code, _, _ = run(
         capsys, "simulate", "--system", "quadratic", "--ic", "0,0,2", "--t1", "0.1",
         "--csv", str(tmp_path / "traj.csv"),
     )
     assert code == 0
-    assert len(compiled) == 2  # the right-hand side and L_null
+    assert len(compiled) == 2  # the stepper and L_null

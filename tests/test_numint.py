@@ -6,16 +6,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nullag
 from nullag import (
+    DEFAULT_COMPARISON_CONSTANTS,
     DomainExit,
     Guard,
     IVP,
     NonFiniteState,
     NullPair,
+    UnboundSymbolError,
     ZERO,
+    collect_guards,
     compare,
+    comparison_catalog,
     drift,
     integrate,
     invariant_values,
@@ -24,6 +29,8 @@ from nullag import (
 )
 from nullag.numint import MAX_STEPS, Trajectory
 from nullag.systems import classify_constant
+from oracles import reference_integrate
+from test_expr import _canonical_or_skip, _trees
 
 TWO_OVER_E = 0.7357588823428847
 LN_THREE = 1.0986122886681098
@@ -178,11 +185,52 @@ def test_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
+def _outcome(integrator, ivp):
+    """The trajectory's columns, or the exception type and its exit time."""
+    try:
+        traj = integrator(ivp)
+    except nullag.ExprError as err:
+        return type(err), getattr(err, "t", None)
+    return traj.t, traj.x, traj.v
+
+
 def test_domain_exit_carries_time():
     guard = Guard(parse("1 - x"), positive=True)
-    with pytest.raises(DomainExit) as err:
-        integrate(IVP(ZERO, 0.0, 0.0, 2.0, 1.0, 0.1, guards=(guard,)))
-    assert 0.4 < err.value.t < 0.7
+    ivp = IVP(ZERO, 0.0, 0.0, 2.0, 1.0, 0.1, guards=(guard,))
+    with pytest.raises(DomainExit, match="left the guarded domain") as err:
+        integrate(ivp)
+    assert err.value.t == 0.5
+    assert _outcome(integrate, ivp) == _outcome(reference_integrate, ivp)
+
+
+def test_a_guard_that_raises_exits_at_the_step_time():
+    # exp(1000*x) overflows once x = 2t passes 0.71, so the guard raises at
+    # the state of t = 0.4; an error of the right-hand side would exit at 0.5
+    ivp = IVP(ZERO, 0.0, 0.0, 2.0, 1.0, 0.1, guards=(Guard(parse("exp(1000*x)")),))
+    with pytest.raises(DomainExit, match="left the guarded domain") as err:
+        integrate(ivp)
+    assert err.value.t == 0.4
+    assert _outcome(integrate, ivp) == _outcome(reference_integrate, ivp)
+
+
+def test_right_side_error_in_the_partial_last_step():
+    # (51/50 - t)^(1/2) is undefined past t = 1.02, inside the last step 1 -> 1.05
+    ivp = IVP(parse("(51/50 - t)^(1/2)"), 0.0, 0.0, 1.0, 1.05, 0.1)
+    with pytest.raises(DomainExit, match="right-hand side undefined") as err:
+        integrate(ivp)
+    assert 1.0 < err.value.t == pytest.approx(1.05)
+    assert _outcome(integrate, ivp) == _outcome(reference_integrate, ivp)
+
+
+@pytest.mark.parametrize("g, guards", [
+    ("a0*x", ()),
+    ("x", (Guard(parse("x - b0")),)),
+])
+def test_unbound_constant_raises_before_any_step(g, guards):
+    # only c1 is bound; a0 and b0 are left over
+    ivp = IVP(parse(g), 0.0, 0.0, 1.0, 1.0, 0.1, constants={"c1": 1.0}, guards=guards)
+    with pytest.raises(UnboundSymbolError):
+        integrate(ivp)
 
 
 def test_initial_state_outside_guards_exits_at_t0():
@@ -207,9 +255,43 @@ def test_non_finite_state_detected():
     ],
 )
 def test_right_side_arithmetic_errors_carry_the_step_time(g, x0, error):
+    ivp = IVP(parse(g), 0.0, x0, -2.0, 1.0, 1e-3)
     with pytest.raises(error) as err:
-        integrate(IVP(parse(g), 0.0, x0, -2.0, 1.0, 1e-3))
-    assert 0.0 < err.value.t <= 0.51
+        integrate(ivp)
+    assert err.value.t == _outcome(reference_integrate, ivp)[1]
+    assert err.value.t == (0.503 if error is NonFiniteState else 0.001)
+
+
+CATALOG_ICS = {"inertia": (0.0, 0.0, 2.0), "quadratic": (0.0, 0.0, 2.0), "tied": (0.0, 1.0, 0.0)}
+
+
+@pytest.mark.parametrize("system", sorted(CATALOG_ICS))
+@pytest.mark.parametrize("guarded", [True, False])
+def test_generated_stepper_matches_the_reference_bit_for_bit(system, guarded):
+    constants = dict(DEFAULT_COMPARISON_CONSTANTS)
+    # t1 = 2.005 ends in a partial step of 0.005
+    args = (*CATALOG_ICS[system], 2.005, 0.01)
+    for eom in comparison_catalog(system).routes().values():
+        if guarded:
+            ivp = eom.ivp(*args, constants=constants)
+        else:
+            ivp = IVP(eom.explicit(), *args, constants=constants)
+        got = _outcome(integrate, ivp)
+        assert got == _outcome(reference_integrate, ivp)
+        assert len(got[0]) == 202 and got[0][-1] == 2.005
+
+
+@given(
+    _trees(2),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.booleans(),
+)
+def test_generated_stepper_matches_the_reference_on_drawn_right_sides(raw, x0, v0, guarded):
+    g = _canonical_or_skip(raw)
+    guards = collect_guards(g) if guarded else ()
+    ivp = IVP(g, 0.0, x0, v0, 0.35, 0.1, constants={"a1": 0.75, "b0": -1.25}, guards=guards)
+    assert _outcome(integrate, ivp) == _outcome(reference_integrate, ivp)
 
 
 def test_csv_round_trip(tmp_path):
