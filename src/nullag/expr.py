@@ -12,7 +12,15 @@ exp(a)*exp(b) = exp(a+b).  Rational multiples of ln(u) inside an exp are
 converted to powers, so exp(q*ln(u)) and u^q meet in the same canonical
 form.
 
-All values are immutable; every operation returns a new tree.  A node's
+add and mul sort their inputs into buckets (monomials in add, bases in mul)
+and rebuild only the buckets where something merged; a term or factor that
+nothing merged into is kept as the same node.  That is sound only because
+every input to add and mul is canonical, so code in this module passes them
+nothing else: clear_denominators merges each term's exponents with the
+required powers itself and hands mul canonical pow_ results, never raw
+Power nodes.
+
+All values are immutable; an operation shares the nodes it keeps.  A node's
 ordering key (sort_key) is computed the first time it is asked for and
 kept in the node's _key slot, so a node must never be mutated.
 """
@@ -230,6 +238,11 @@ def as_coeff_factors(e: Expr) -> tuple[Union[Fraction, float], tuple[Expr, ...]]
     return _F1, (e,)
 
 
+def _base_exponent(f: Expr) -> tuple[Expr, Fraction]:
+    """A canonical factor as (base, exponent): u^q is (u, q), any other is (f, 1)."""
+    return (f.base, f.exponent) if isinstance(f, Power) else (f, _F1)
+
+
 def _term_from(coeff, factors: tuple[Expr, ...]) -> Expr:
     if not factors:
         return Const(coeff)
@@ -239,6 +252,8 @@ def _term_from(coeff, factors: tuple[Expr, ...]) -> Expr:
 
 
 def add(*args) -> Expr:
+    # Each bucket is [coefficient, monomial factors, the term itself while
+    # nothing has merged into it]; a lone term is kept, not rebuilt.
     buckets: dict[tuple, list] = {}
     const_acc: Union[Fraction, float] = _F0
     stack = [_coerce(a) for a in reversed(args)]
@@ -251,13 +266,15 @@ def add(*args) -> Expr:
         if not factors:
             const_acc = const_acc + coeff
             continue
-        key = tuple(sort_key(f) for f in factors)
+        # the term's cached key, without the key of its coefficient
+        key = sort_key(a)[1][-len(factors) :] if isinstance(a, Product) else (sort_key(a),)
         entry = buckets.get(key)
         if entry is None:
-            buckets[key] = [coeff, factors]
+            buckets[key] = [coeff, factors, a]
         else:
             entry[0] = entry[0] + coeff
-    terms = [_term_from(c, fs) for c, fs in buckets.values() if c != 0]
+            entry[2] = None
+    terms = [t if t is not None else _term_from(c, fs) for c, fs, t in buckets.values() if c != 0]
     if const_acc != 0:
         terms.append(Const(const_acc))
     if not terms:
@@ -288,37 +305,41 @@ def mul(*args) -> Expr:
         if isinstance(f, Sum):
             rest = flat[:i] + flat[i + 1 :]
             return add(*(mul(Const(coeff), *rest, term) for term in f.terms))
+    # Each bucket is [base, exponent, the factor itself while nothing has
+    # merged into it]; a lone factor is kept, not rebuilt through pow_.
     powers: dict[tuple, list] = {}
 
-    def pow_into(base: Expr, q: Fraction):
+    def pow_into(f: Expr):
+        base, q = _base_exponent(f)
         key = sort_key(base)
         entry = powers.get(key)
         if entry is None:
-            powers[key] = [base, q]
+            powers[key] = [base, q, f]
         else:
             entry[1] = entry[1] + q
+            entry[2] = None
 
-    exp_args: list[Expr] = []
+    exps: list[Expr] = []
     for f in flat:
         if isinstance(f, Apply) and f.func == "exp":
-            exp_args.append(f.arg)
-        elif isinstance(f, Power):
-            pow_into(f.base, f.exponent)
+            exps.append(f)
         else:
-            pow_into(f, _F1)
-    if exp_args:
-        combined = apply_fn("exp", add(*exp_args))
+            pow_into(f)
+    if len(exps) == 1:
+        pow_into(exps[0])
+    elif exps:
+        combined = apply_fn("exp", add(*(f.arg for f in exps)))
         comb_coeff, comb_factors = as_coeff_factors(combined)
         coeff = coeff * comb_coeff
         for f in comb_factors:
-            if isinstance(f, Power):
-                pow_into(f.base, f.exponent)
-            else:
-                pow_into(f, _F1)
+            pow_into(f)
     pieces: list[Expr] = []
     needs_recurse = False
     for key in sorted(powers):
-        base, q = powers[key]
+        base, q, kept = powers[key]
+        if kept is not None:
+            pieces.append(kept)
+            continue
         if q == 0:
             continue
         if isinstance(base, Const) and q.denominator == 1:
@@ -653,10 +674,22 @@ def clear_denominators(e: Expr) -> Expr:
                         entry[1] = req
         if not need:
             break
-        # Multiply term by term with raw Power nodes so exponents merge against
-        # the negative powers before any sum base gets expanded.
-        pieces = [Power(b, q) for b, q in need.values()]
-        e = add(*(mul(term, *pieces) for term in terms))
+        # Merge each term's own power of a needed base with the required power
+        # before pow_ expands any sum base, and pass mul only canonical nodes.
+        cleared = []
+        for term in terms:
+            coeff, factors = as_coeff_factors(term)
+            powers = {key: [b, q] for key, (b, q) in need.items()}
+            rest = []
+            for f in factors:
+                base, q = _base_exponent(f)
+                entry = powers.get(sort_key(base))
+                if entry is None:
+                    rest.append(f)
+                else:
+                    entry[1] = entry[1] + q
+            cleared.append(mul(Const(coeff), *rest, *(pow_(b, q) for b, q in powers.values())))
+        e = add(*cleared)
     return e
 
 

@@ -3,11 +3,14 @@
 `evaluate` is a tree-walking reference evaluator that shares no code with
 `compile_expr`, which the tests hold to it.  `reference_integrate` is the
 RK4 loop written out over a compiled right-hand side and guard predicate;
-the generated stepper of `integrate` must match it bit for bit.  The derivative oracles
-deliberately avoid the symbolic differentiation path they check: partial
-derivatives are compared against central finite differences of `evaluate`,
-and total time derivatives against finite differences along a cubic jet
-path.
+the generated stepper of `integrate` must match it bit for bit.
+`reference_add`, `reference_mul` and `reference_clear_denominators` are the
+canonicalizing constructors written to rebuild every node; the ones in
+`nullag.expr`, which keep the nodes nothing merged into, must give equal
+trees.  The derivative oracles deliberately avoid the symbolic
+differentiation path they check: partial derivatives are compared against
+central finite differences of `evaluate`, and total time derivatives against
+finite differences along a cubic jet path.
 """
 
 import math
@@ -29,14 +32,18 @@ from nullag import (
     Product,
     Sum,
     UnboundSymbolError,
+    ZERO,
+    apply_fn,
     compile_expr,
     diff,
     free_atoms,
     instantiate,
+    pow_,
     to_string,
     total_dt,
 )
 from nullag.domain import guard_predicate, sample_points
+from nullag.expr import _coerce, _term_from, as_coeff_factors, sort_key
 from nullag.numint import Trajectory
 
 H_FD = 1e-6
@@ -229,3 +236,130 @@ def reference_integrate(ivp):
     except (ZeroDivisionError, ValueError) as err:
         raise DomainExit(f"right-hand side undefined ({err}) in the step to t={t + h:g}", t + h) from None
     return Trajectory(tuple(ts), tuple(xs), tuple(vs), step)
+
+
+def reference_add(*args):
+    """add as it was before it kept unmerged terms: every monomial is rebuilt
+    from its coefficient and factors."""
+    buckets = {}
+    const_acc = Fraction(0)
+    stack = [_coerce(a) for a in reversed(args)]
+    while stack:
+        a = stack.pop()
+        if isinstance(a, Sum):
+            stack.extend(reversed(a.terms))
+            continue
+        coeff, factors = as_coeff_factors(a)
+        if not factors:
+            const_acc = const_acc + coeff
+            continue
+        key = tuple(sort_key(f) for f in factors)
+        entry = buckets.get(key)
+        if entry is None:
+            buckets[key] = [coeff, factors]
+        else:
+            entry[0] = entry[0] + coeff
+    terms = [_term_from(c, fs) for c, fs in buckets.values() if c != 0]
+    if const_acc != 0:
+        terms.append(Const(const_acc))
+    if not terms:
+        return ZERO
+    terms.sort(key=sort_key)
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
+def reference_mul(*args):
+    """mul as it was before it kept unmerged factors: every factor goes
+    through pow_, and every exp argument back through add."""
+    coeff = Fraction(1)
+    flat = []
+    stack = [_coerce(a) for a in reversed(args)]
+    while stack:
+        a = stack.pop()
+        if isinstance(a, Const):
+            coeff = coeff * a.value
+        elif isinstance(a, Product):
+            stack.extend(reversed(a.factors))
+        else:
+            flat.append(a)
+    if coeff == 0:
+        return ZERO
+    for i, f in enumerate(flat):
+        if isinstance(f, Sum):
+            rest = flat[:i] + flat[i + 1 :]
+            return reference_add(*(reference_mul(Const(coeff), *rest, term) for term in f.terms))
+    powers = {}
+
+    def pow_into(base, q):
+        key = sort_key(base)
+        entry = powers.get(key)
+        if entry is None:
+            powers[key] = [base, q]
+        else:
+            entry[1] = entry[1] + q
+
+    exp_args = []
+    for f in flat:
+        if isinstance(f, Apply) and f.func == "exp":
+            exp_args.append(f.arg)
+        elif isinstance(f, Power):
+            pow_into(f.base, f.exponent)
+        else:
+            pow_into(f, Fraction(1))
+    if exp_args:
+        combined = apply_fn("exp", reference_add(*exp_args))
+        comb_coeff, comb_factors = as_coeff_factors(combined)
+        coeff = coeff * comb_coeff
+        for f in comb_factors:
+            if isinstance(f, Power):
+                pow_into(f.base, f.exponent)
+            else:
+                pow_into(f, Fraction(1))
+    pieces = []
+    needs_recurse = False
+    for key in sorted(powers):
+        base, q = powers[key]
+        if q == 0:
+            continue
+        if isinstance(base, Const) and q.denominator == 1:
+            coeff = coeff * base.value ** q.numerator
+            continue
+        piece = pow_(base, q)
+        if isinstance(piece, (Sum, Product, Const)):
+            needs_recurse = True
+        pieces.append(piece)
+    if needs_recurse:
+        return reference_mul(Const(coeff), *pieces)
+    if coeff == 0:
+        return ZERO
+    pieces.sort(key=sort_key)
+    if not pieces:
+        return Const(coeff)
+    if coeff == 1:
+        return pieces[0] if len(pieces) == 1 else Product(tuple(pieces))
+    return Product((Const(coeff),) + tuple(pieces))
+
+
+def reference_clear_denominators(e):
+    """clear_denominators as it was before it merged its own exponents: each
+    term is multiplied by raw Power(base, required power) pieces, which
+    reference_mul merges and rebuilds."""
+    for _ in range(3):
+        terms = e.terms if isinstance(e, Sum) else (e,)
+        need = {}
+        for term in terms:
+            _, factors = as_coeff_factors(term)
+            for f in factors:
+                if isinstance(f, Power) and f.exponent < 0:
+                    key = sort_key(f.base)
+                    entry = need.get(key)
+                    req = -f.exponent
+                    if entry is None:
+                        need[key] = [f.base, req]
+                    elif req > entry[1]:
+                        entry[1] = req
+        if not need:
+            break
+        pieces = [Power(b, q) for b, q in need.values()]
+        e = reference_add(*(reference_mul(term, *pieces) for term in terms))
+    return e

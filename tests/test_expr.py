@@ -37,20 +37,31 @@ from nullag import (
     canonicalize,
     comparison_catalog,
     compile_expr,
+    conservation_eom,
     diff,
     equivalent,
+    euler_lagrange_residual,
     mul,
     parse,
     pow_,
     proven_zero,
     sample_points,
+    sub,
     to_string,
     total_dt,
 )
 
 from nullag.domain import instantiation_rounds, point_function
-from nullag.expr import func_names, sort_key
-from oracles import GuardViolation, check_partials_against_fd, check_total_dt_against_fd, evaluate
+from nullag.expr import MINUS_ONE, clear_denominators, func_names, sort_key
+from oracles import (
+    GuardViolation,
+    check_partials_against_fd,
+    check_total_dt_against_fd,
+    evaluate,
+    reference_add,
+    reference_clear_denominators,
+    reference_mul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +462,67 @@ def test_key_of_a_const_beyond_float_range():
     assert sort_key(Const(huge)) == (0, (math.inf, str(huge)))
     assert sort_key(Const(-huge)) == (0, (-math.inf, str(-huge)))
     assert sort_key(_fresh(Const(-huge)))[1][0] == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# constructors that keep the nodes nothing merges into
+
+
+def _outcome(f, *args):
+    """f(*args) with its printed form, or the type of the error it raised."""
+    try:
+        e = f(*args)
+    except ZeroDivisionError as err:
+        return type(err)
+    return e, to_string(e)
+
+
+def _reference_sub(a, b):
+    return reference_add(a, reference_mul(MINUS_ONE, b))
+
+
+@given(st.lists(_trees(3), min_size=2, max_size=4))
+def test_constructors_equal_the_rebuilding_reference(raws):
+    es = [_canonical_or_skip(r) for r in raws]
+    assert _outcome(mul, *es) == _outcome(reference_mul, *es)
+    assert _outcome(add, *es) == _outcome(reference_add, *es)
+    assert _outcome(sub, es[0], es[1]) == _outcome(_reference_sub, es[0], es[1])
+    for e in (add(*es), sub(es[0], es[1]), *es):
+        assert _outcome(clear_denominators, e) == _outcome(reference_clear_denominators, e)
+
+
+def test_mul_keeps_the_factors_nothing_merges_into():
+    m = parse("3*x^2*sin(x)*exp(a0*t)/(x + t)")
+    product = mul(XDOT, m)
+    assert product == reference_mul(XDOT, m)
+    for f in m.factors[1:]:
+        assert any(g is f for g in product.factors), to_string(f)
+
+
+def test_add_keeps_the_terms_nothing_merges_into():
+    s = parse("3*x^2*t + x'*sin(x) - 2*exp(t)")
+    t = parse("x^2*t + 5*x'")
+    total = add(s, t)
+    assert total == parse("4*x^2*t + x'*sin(x) - 2*exp(t) + 5*x'")
+    merged = {parse("3*x^2*t"), parse("x^2*t")}
+    unmerged = [u for u in s.terms + t.terms if u not in merged]
+    assert len(unmerged) == 3
+    for u in unmerged:
+        assert any(v is u for v in total.terms), to_string(u)
+
+
+def test_cleared_forms_are_canonical(corpus_pairs):
+    """clear_denominators passes mul only canonical powers, so no raw node
+    such as Power(b, 1) reaches its result."""
+    exprs = []
+    for pair in corpus_pairs.values():
+        L = pair.assembled()
+        exprs += [L.body, total_dt(L.body), euler_lagrange_residual(L), conservation_eom(pair).residual]
+    for key in ("inertia", "quadratic", "tied"):
+        triple = comparison_catalog(key)
+        for L in (triple.standard, triple.nonstandard):
+            exprs += [L.body, euler_lagrange_residual(L)]
+    for e in exprs:
+        cleared = clear_denominators(e)
+        assert canonicalize(cleared) == cleared, to_string(e)
+        assert cleared == reference_clear_denominators(e), to_string(e)
