@@ -3,8 +3,10 @@ equations of motion, the system catalog, simulation, route comparison, and
 the transcription audit.
 
 Every command is deterministic given its inputs and seed; reports embed the
-tool version, seed, and tolerances.  Exit codes: 0 when all verdicts pass,
-2 for verification failures, 3 for input errors.
+tool version, seed, and tolerances.  Each command fills in the report that
+`main` hands it and returns whether its verdicts passed; only `main` writes
+reports and picks exit codes: 0 when all verdicts pass, 2 for verification
+failures, 3 for input errors.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import __version__
 from . import expr as ex
@@ -34,7 +37,7 @@ from .construct import (
     harmonic,
     reconstruct_gauge,
 )
-from .domain import Domain, Guard
+from .domain import DEFAULT_DOMAIN, Domain, Guard
 from .equivalence import EPS_EQ
 from .expr import ZERO, to_string
 from .numint import EPS_DRIFT, compare as compare_trajectories, drift, integrate, write_csv
@@ -58,48 +61,49 @@ def _base_report(args) -> dict:
     return {
         "tool": "nullag",
         "version": __version__,
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
         "tolerances": {"eps_eq": EPS_EQ, "eps_act": EPS_ACT, "eps_drift": EPS_DRIFT},
     }
 
 
+def _lines(report: dict, prefix: str = ""):
+    for k, v in report.items():
+        if isinstance(v, dict):
+            yield from _lines(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}: {v}"
+
+
 def _emit(args, report: dict) -> None:
-    if args.json:
-        text = json.dumps(report, indent=2, default=str)
-    else:
-        lines = []
-
-        def walk(prefix: str, value) -> None:
-            if isinstance(value, dict):
-                for k, v in value.items():
-                    walk(f"{prefix}{k}." if prefix else f"{k}.", v) if isinstance(
-                        v, dict
-                    ) else lines.append(f"{prefix}{k}: {v}")
-            else:
-                lines.append(f"{prefix}: {value}")
-
-        walk("", report)
-        text = "\n".join(lines)
-    if getattr(args, "out", None):
+    text = json.dumps(report, indent=2, default=str) if args.json else "\n".join(_lines(report))
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
+def _domain(x, t, guards) -> Domain:
+    """The one reader of a Domain from outside input: x and t are (lo, hi)
+    pairs, or None for the default box; guards are (expression, positive)
+    pairs."""
+    return Domain(
+        tuple(x or DEFAULT_DOMAIN.x),
+        tuple(t or DEFAULT_DOMAIN.t),
+        tuple(Guard(parse(text), positive=positive) for text, positive in guards),
+    )
+
+
 def _parse_domain(args) -> Domain:
-    kw = {}
-    if getattr(args, "x_box", None):
-        lo, hi = (_float(v) for v in args.x_box.split(","))
-        kw["x"] = (lo, hi)
-    if getattr(args, "t_box", None):
-        lo, hi = (_float(v) for v in args.t_box.split(","))
-        kw["t"] = (lo, hi)
-    domain = Domain(**kw)
-    for g in getattr(args, "guard", None) or []:
-        positive = g.startswith("+")
-        domain = domain.with_guards(Guard(parse(g.lstrip("+")), positive=positive))
-    return domain
+    x, t = (tuple(map(_float, box.split(","))) if box else None for box in (args.x_box, args.t_box))
+    return _domain(x, t, [(g.lstrip("+"), g.startswith("+")) for g in args.guard or []])
+
+
+def _pair(args):
+    """The null pair generated by the --B, --f and domain flags."""
+    return build_null(
+        parse(args.B), parse(args.f) if args.f else ZERO, _parse_domain(args), seed=args.seed
+    )
 
 
 def _number(text: str) -> ex.Const:
@@ -136,87 +140,83 @@ def _pair_report(pair) -> dict:
     return rep
 
 
-def cmd_derive(args) -> int:
-    report = _base_report(args)
+def cmd_derive(args, report: dict) -> bool:
     if args.spec_file:
         with open(args.spec_file) as fh:
-            records = json.load(fh)
+            try:
+                records = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"spec file {args.spec_file} is nested too deeply") from None
         if not isinstance(records, list):
             raise ValueError(f"spec file {args.spec_file} must hold a JSON array of records")
         report["results"] = [_derive_record(record, args.seed) for record in records]
-        _emit(args, report)
-        return EXIT_OK
-    if not args.B:
+    elif not args.B:
         raise ParseError("derive requires --B or --spec-file", 0)
-    pair = build_null(
-        parse(args.B), parse(args.f) if args.f else ZERO, _parse_domain(args), seed=args.seed
-    )
-    report.update(_pair_report(pair))
-    _emit(args, report)
-    return EXIT_OK
+    else:
+        report.update(_pair_report(_pair(args)))
+    return True
 
 
-def _derive_record(record: dict, seed: int) -> dict:
-    if not isinstance(record, dict):
-        raise ValueError(f"spec record {json.dumps(record)} is not a JSON object")
+def _derive_record(record, seed: int) -> dict:
+    def check(ok: bool, problem: str) -> None:
+        if not ok:
+            raise ValueError(f"spec record {json.dumps(record)} {problem}")
+
+    check(isinstance(record, dict), "is not a JSON object")
     kind = record.get("kind", "generating")
+    check(kind in ("generating", "fraction"), 'has a kind other than "generating" or "fraction"')
     missing = [k for k in (("f1", "f2") if kind == "fraction" else ("B",)) if k not in record]
-    if missing:
-        raise ValueError(f"spec record {json.dumps(record)} lacks {', '.join(missing)}")
+    check(not missing, f"lacks {', '.join(missing)}")
+    for k in ("B", "f", "f1", "f2", "f3", "f4"):
+        check(isinstance(record.get(k, ""), str), f"has a {k} that is not a string")
     box = record.get("domain", {})
-    domain = Domain(
-        x=tuple(box.get("x", (0.5, 2.0))),
-        t=tuple(box.get("t", (0.5, 2.0))),
-    )
-    for g in record.get("guards", []):
-        domain = domain.with_guards(Guard(parse(g["expr"]), positive=g.get("positive", False)))
+    check(isinstance(box, dict), "has a domain that is not an object")
+    for k, lo_hi in box.items():
+        check(
+            k not in ("x", "t")
+            or isinstance(lo_hi, list) and len(lo_hi) == 2
+            # a JSON true/false is a bool, not a number; int/float comparison is exact
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in lo_hi),
+            f"has a domain {k} that is not a list of two finite numbers",
+        )
+    guards = record.get("guards", [])
+    check(isinstance(guards, list), "has guards that are not a list")
+    for g in guards:
+        check(isinstance(g, dict) and isinstance(g.get("expr"), str), f"has a guard {json.dumps(g)} without a string expr")
+        check(isinstance(g.get("positive", False), bool), f"has a guard {json.dumps(g)} whose positive is not a boolean")
+    domain = _domain(box.get("x"), box.get("t"), [(g["expr"], g.get("positive", False)) for g in guards])
     f = parse(record["f"]) if record.get("f") else ZERO
     if kind == "fraction":
-        spec = FractionSpec(
-            parse(record["f1"]),
-            parse(record["f2"]),
-            parse(record.get("f3", "0")),
-            parse(record.get("f4", "0")),
-        )
+        spec = FractionSpec(*(parse(record.get(k, "0")) for k in ("f1", "f2", "f3", "f4")))
         pair = build_nonstandard_null(spec, f, domain, seed=seed)
     else:
         pair = build_null(parse(record["B"]), f, domain, seed=seed)
     return _pair_report(pair)
 
 
-def cmd_verify(args) -> int:
-    eps = _tolerance(args.eps_eq)
-    report = _base_report(args)
-    report["tolerances"]["eps_eq"] = eps
+def cmd_verify(args, report: dict) -> bool:
+    report["tolerances"]["eps_eq"] = eps = _tolerance(args.eps_eq)
     L = Lagrangian(parse(args.lagrangian), _parse_domain(args))
     rep = is_null(L, seed=args.seed, eps=eps)
     report["lagrangian"] = to_string(L.body)
     report.update(rep.to_dict())
-    _emit(args, report)
-    return EXIT_OK if rep else EXIT_VERIFICATION
+    return bool(rep)
 
 
-def cmd_harmonic(args) -> int:
-    report = _base_report(args)
-    pair = build_null(
-        parse(args.B), parse(args.f) if args.f else ZERO, _parse_domain(args), seed=args.seed
-    )
+def cmd_harmonic(args, report: dict) -> bool:
+    pair = _pair(args)
     h = harmonic(pair, args.n, seed=args.seed)
     report["base"] = pair.to_dict()
     report["harmonic"] = h.to_dict()
     report["nullity"] = h.certificate.verdict.value
-    _emit(args, report)
-    return EXIT_OK
+    return True
 
 
-def cmd_eom(args) -> int:
-    report = _base_report(args)
+def cmd_eom(args, report: dict) -> bool:
     if not (args.B or args.lagrangian):
         raise ParseError("eom requires --B or --L", 0)
     if args.B:
-        pair = build_null(
-            parse(args.B), parse(args.f) if args.f else ZERO, _parse_domain(args), seed=args.seed
-        )
+        pair = _pair(args)
         L = pair.assembled()
         report["source"] = pair.to_dict()
     else:
@@ -235,8 +235,7 @@ def cmd_eom(args) -> int:
     else:
         eom = eom_from_lagrangian(L)
     report["eom"] = eom.to_dict()
-    _emit(args, report)
-    return EXIT_OK
+    return True
 
 
 def _composer(name: str) -> Composer:
@@ -247,8 +246,7 @@ def _composer(name: str) -> Composer:
     return Composer.from_expr(parse(name))
 
 
-def cmd_system(args) -> int:
-    report = _base_report(args)
+def cmd_system(args, report: dict) -> bool:
     if args.variant == "constant":
         alpha, beta, gamma = (_number(v) for v in (args.alpha, args.beta, args.gamma))
         case = classify_constant(alpha, beta, gamma, seed=args.seed)
@@ -270,8 +268,7 @@ def cmd_system(args) -> int:
             seed=args.seed,
         )
     report["system"] = case.to_dict()
-    _emit(args, report)
-    return EXIT_OK
+    return True
 
 
 _SIMULATABLE = {
@@ -281,10 +278,8 @@ _SIMULATABLE = {
 }
 
 
-def cmd_simulate(args) -> int:
-    eps = _tolerance(args.eps_drift)
-    report = _base_report(args)
-    report["tolerances"]["eps_drift"] = eps
+def cmd_simulate(args, report: dict) -> bool:
+    report["tolerances"]["eps_drift"] = eps = _tolerance(args.eps_drift)
     case = _SIMULATABLE[args.system](args)
     constants = {"B0": _number(args.B0)}
     t0, x0, v0 = (_float(v) for v in args.ic.split(","))
@@ -298,13 +293,11 @@ def cmd_simulate(args) -> int:
     report["explicit"] = f"x'' = {to_string(ivp.g)}"
     report["final_state"] = {"t": traj.final_state[0], "x": traj.final_state[1], "xdot": traj.final_state[2]}
     report["drift"] = rep.to_dict()
-    _emit(args, report)
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION
+    return rep.passed
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, report: dict) -> bool:
     tol = _tolerance(args.tol)
-    report = _base_report(args)
     triple = comparison_catalog(args.system, seed=args.seed)
     constants = dict(DEFAULT_COMPARISON_CONSTANTS)
     if args.a0 is not None:
@@ -316,37 +309,30 @@ def cmd_compare(args) -> int:
     trajectories = {}
     for route, eom in triple.routes(seed=args.seed).items():
         trajectories[route] = integrate(eom.ivp(t0, x0, v0, t1, h, constants=constants))
-    names = list(trajectories)
     deviations = {}
     worst = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            dev = compare_trajectories(trajectories[a], trajectories[b])
-            deviations[f"{a}-vs-{b}"] = dev.to_dict()
-            worst = max(worst, dev.max_dx, dev.max_dv)
+    for a, b in combinations(trajectories, 2):
+        dev = compare_trajectories(trajectories[a], trajectories[b])
+        deviations[f"{a}-vs-{b}"] = dev.to_dict()
+        worst = max(worst, dev.max_dx, dev.max_dv)
     report["system"] = triple.name
     report["constants"] = constants
     report["deviations"] = deviations
     report["max_deviation"] = worst
     report["tolerance"] = tol
     report["passed"] = worst <= tol
-    _emit(args, report)
-    return EXIT_OK if worst <= tol else EXIT_VERIFICATION
+    return report["passed"]
 
 
-def cmd_audit(args) -> int:
-    report = _base_report(args)
+def cmd_audit(args, report: dict) -> bool:
     findings = run_audits(args.seed)
     report["findings"] = [f.to_dict() for f in findings]
-    detected = all(f.discrepancy_detected for f in findings)
-    machine_ok = all(
+    report["all_discrepancies_detected"] = all(f.discrepancy_detected for f in findings)
+    report["machine_forms_null"] = all(
         f.machine_null_verdict in (None, NullVerdict.PROVEN_NULL.value, NullVerdict.NUMERICALLY_NULL.value)
         for f in findings
     )
-    report["all_discrepancies_detected"] = detected
-    report["machine_forms_null"] = machine_ok
-    _emit(args, report)
-    return EXIT_OK if detected and machine_ok else EXIT_VERIFICATION
+    return report["all_discrepancies_detected"] and report["machine_forms_null"]
 
 
 def _add_common(p: argparse.ArgumentParser, *, domain: bool = True) -> None:
@@ -400,26 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eom)
 
     p = sub.add_parser("system", help="catalog of dissipative systems with null Lagrangians")
+    p.set_defaults(func=cmd_system)
     psub = p.add_subparsers(dest="variant", required=True)
     pc = psub.add_parser("constant", help="constant coefficients")
     pc.add_argument("--alpha", required=True)
     pc.add_argument("--beta", required=True)
     pc.add_argument("--gamma", required=True)
     _add_common(pc)
-    pc.set_defaults(func=cmd_system, variant="constant")
     pt = psub.add_parser("timedep", help="time-dependent coefficients (alpha1 = 0 branch)")
     pt.add_argument("--beta1", required=True)
     pt.add_argument("--gamma1")
     pt.add_argument("--alpha1")
     _add_common(pt)
-    pt.set_defaults(func=cmd_system, variant="timedep")
     pd = psub.add_parser("displacement", help="displacement-dependent coefficients")
     pd.add_argument("--alpha2", required=True)
     pd.add_argument("--beta0", required=True)
     pd.add_argument("--gamma2")
     pd.add_argument("--ctilde")
     _add_common(pd)
-    pd.set_defaults(func=cmd_system, variant="displacement")
 
     p = sub.add_parser("simulate", help="integrate a catalog system and monitor conservation")
     p.add_argument("--system", choices=sorted(_SIMULATABLE), required=True)
@@ -455,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = _base_report(args)
+        passed = args.func(args, report)
+        _emit(args, report)
+        return EXIT_OK if passed else EXIT_VERIFICATION
     except (ParseError, AntiderivativeUnsupported, ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

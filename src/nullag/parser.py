@@ -248,5 +248,11 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string to its canonical tree."""
-    return _Parser(text).parse()
+    """Parse an expression string to its canonical tree; input that divides
+    by zero (1/0, 0^(-1), x^(1/0)) or nests too deeply raises ParseError."""
+    try:
+        return _Parser(text).parse()
+    except ZeroDivisionError:  # expr.DivisionByZero among them
+        raise ParseError("division by zero", 0) from None
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nullag.numint
 from nullag.cli import main
@@ -300,3 +301,101 @@ def test_simulate_compiles_the_invariant_once(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(compiled) == 2  # the stepper and L_null
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"B": "x", "guards": [{}]},
+        {"B": "x", "domain": 5},
+        {"B": 5},
+        {"B": "x", "domain": {"x": 5}},
+        {"B": "x", "guards": ["x"]},
+        {"B": "x", "guards": {"expr": "x"}},
+        {"B": "x", "kind": "fractoin"},
+        {"B": "x", "guards": [{"expr": "x", "positive": "no"}]},
+        {"kind": "fraction", "f1": "a1", "f2": ["a2"]},
+        {"B": "x", "f": 1},
+        {"B": "x", "domain": {"t": [0, True]}},
+        {"B": "x", "domain": {"x": [0.5, 10**400]}},
+    ],
+)
+def test_malformed_spec_record_is_an_input_error(capsys, tmp_path, record):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([record]))
+    code, out, err = run(capsys, "derive", "--spec-file", str(spec))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: spec record ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/(x - x)", "0^(-1)", "(x - x)^(-2)", "x^(1/0)"])
+def test_division_by_zero_in_input_is_an_input_error(capsys, text):
+    code, out, err = run(capsys, "verify", text)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: division by zero")
+
+
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 3
+    assert err.startswith("input error: expression nested too deeply")
+    spec = tmp_path / "spec.json"
+    spec.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "derive", "--spec-file", str(spec))
+    assert code == 3
+    assert err.startswith("input error: spec file ") and err.endswith("is nested too deeply\n")
+
+
+_LEAVES = st.sampled_from(["x", "t", "1", "2", "0", "a1", "f1(t)", "x'"])
+_EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}^{}".format, inner, st.sampled_from(["2", "3", "(-1)", "(1/2)"])),
+        st.builds("{}({})".format, st.sampled_from(["exp", "ln", "sin", "cos", "abs"]), inner),
+    ),
+    max_leaves=4,
+)
+_NUMBERS = st.integers(-3, 3) | st.floats() | st.just(10**400)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | _EXPRESSIONS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["x", "t", "expr", "positive"]), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELDS = {
+    "kind": st.sampled_from(["generating", "fraction"]),
+    **{k: _EXPRESSIONS for k in ("B", "f", "f1", "f2", "f3", "f4")},
+    "domain": st.fixed_dictionaries(
+        {}, optional={k: st.lists(st.sampled_from([-1, 0, 0.5, 2, 3]), min_size=2, max_size=2) for k in "xt"}
+    ),
+    "guards": st.lists(
+        st.fixed_dictionaries({"expr": _EXPRESSIONS}, optional={"positive": st.booleans()}),
+        max_size=2,
+    ),
+}
+_OPTIONAL = ("f", "f3", "f4", "domain", "guards")
+_RECORDS = st.one_of(
+    # well-formed records, which reach the constructions ...
+    st.fixed_dictionaries({"B": _EXPRESSIONS}, optional={k: _FIELDS[k] for k in ("kind", *_OPTIONAL)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("fraction"), "f1": _EXPRESSIONS, "f2": _EXPRESSIONS},
+        optional={k: _FIELDS[k] for k in _OPTIONAL},
+    ),
+    # ... and records with any field holding any JSON value
+    st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in _FIELDS.items()}),
+    _JSON,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_RECORDS, max_size=3))
+def test_derive_spec_file_never_raises(capsys, tmp_path, records):
+    """Whatever a spec file holds, `derive --spec-file` ends in a documented
+    exit code, never in a traceback."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(records))
+    assert main(["derive", "--spec-file", str(spec), "--json"]) in (0, 2, 3)
+    capsys.readouterr()

@@ -106,6 +106,13 @@ def test_unknown_function_name_rejected():
         parse("g(x)")
 
 
+def test_deep_nesting_is_a_parse_error():
+    assert parse("(" * 200 + "x" + ")" * 200) == X
+    for depth in (250, 3000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * depth + "x" + ")" * depth)
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 
