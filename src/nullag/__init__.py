@@ -9,7 +9,6 @@ derivation routes, action path independence).
 
 from .expr import (
     Apply,
-    Bindings,
     Const,
     ConstSym,
     EvaluationError,
@@ -58,6 +57,7 @@ from .domain import (
     Guard,
     InfeasibleDomainError,
     STANDARD_FUNCTIONS,
+    Sample,
     collect_guards,
     sample_points,
 )

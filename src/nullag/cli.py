@@ -184,14 +184,19 @@ def _derive_record(record, seed: int) -> dict:
     for g in guards:
         check(isinstance(g, dict) and isinstance(g.get("expr"), str), f"has a guard {json.dumps(g)} without a string expr")
         check(isinstance(g.get("positive", False), bool), f"has a guard {json.dumps(g)} whose positive is not a boolean")
-    domain = _domain(box.get("x"), box.get("t"), [(g["expr"], g.get("positive", False)) for g in guards])
-    f = parse(record["f"]) if record.get("f") else ZERO
-    if kind == "fraction":
-        spec = FractionSpec(*(parse(record.get(k, "0")) for k in ("f1", "f2", "f3", "f4")))
-        pair = build_nonstandard_null(spec, f, domain, seed=seed)
-    else:
-        pair = build_null(parse(record["B"]), f, domain, seed=seed)
-    return _pair_report(pair)
+    try:
+        domain = _domain(box.get("x"), box.get("t"), [(g["expr"], g.get("positive", False)) for g in guards])
+        f = parse(record["f"]) if record.get("f") else ZERO
+        if kind == "fraction":
+            spec = FractionSpec(*(parse(record.get(k, "0")) for k in ("f1", "f2", "f3", "f4")))
+            pair = build_nonstandard_null(spec, f, domain, seed=seed)
+        else:
+            pair = build_null(parse(record["B"]), f, domain, seed=seed)
+        return _pair_report(pair)
+    except (ValueError, ex.ExprError) as err:
+        # the same exception, so main still picks its exit code, naming the record
+        err.args = (f"spec record {json.dumps(record)}: {err}",)
+        raise
 
 
 def cmd_verify(args, report: dict) -> bool:

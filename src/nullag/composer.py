@@ -33,7 +33,6 @@ from .domain import (
     Guard,
     collect_guards,
     instantiation_rounds,
-    point_function,
     sample_points,
     unique_guards,
 )
@@ -42,7 +41,6 @@ from .expr import (
     Const,
     ConstSym,
     Expr,
-    Power,
     Sum,
     T,
     X,
@@ -154,8 +152,7 @@ def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
     composed = Lagrangian(F(L.body), domain)
     if domain.guards != L.domain.guards:
         rng = random.Random(seed)
-        names = sorted(set().union(*(ex.func_names(g.expr) for g in domain.guards)))
-        rounds = instantiation_rounds(names)
+        rounds = instantiation_rounds([composed.body], domain)
         for funcs in rounds:
             try:
                 sample_points([composed.body], domain, 5, rng, funcs=funcs)
@@ -164,11 +161,9 @@ def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
             return composed
         witness = None
         try:
-            b = sample_points([L.body], L.domain, 1, rng, funcs=rounds[0])[0]
-            witness = {
-                "point": {k: float(v) for k, v in b.jets.items()},
-                "inner_value": float(point_function(L.body, b)(b)),
-            }
+            sample = sample_points([L.body], L.domain, 1, rng, funcs=rounds[0])
+            (row,), (inner,) = sample.rows, sample.functions
+            witness = {**sample.witness(row), "inner_value": float(inner(*row))}
         except (ex.ExprError, ArithmeticError, ValueError):
             pass
         raise RangeGuardViolated(
@@ -181,15 +176,18 @@ def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
 class EquationOfMotion:
     """Dynamics as a canonical residual whose zero set is the motion.
 
-    `leading` is exactly the xddot coefficient of the residual; provenance
-    records the derivation route (euler-lagrange | composition |
+    provenance records the derivation route (euler-lagrange | composition |
     conservation).
     """
 
     residual: Expr
-    leading: Expr
     provenance: str
     domain: Domain = DEFAULT_DOMAIN
+
+    @property
+    def leading(self) -> Expr:
+        """Exactly the xddot coefficient of the residual."""
+        return xddot_coefficient(self.residual)
 
     def explicit(self) -> Expr:
         return solve_leading(self)
@@ -228,7 +226,7 @@ def xddot_coefficient(e: Expr) -> Expr:
     for term in terms:
         coeff, factors = as_coeff_factors(term)
         for f in factors:
-            base, q = (f.base, f.exponent) if isinstance(f, Power) else (f, Fraction(1))
+            base, q = ex._base_exponent(f)
             if base == XDDOT:
                 if q != 1:
                     raise LeadingCoefficientVanishes(
@@ -247,7 +245,7 @@ def xddot_coefficient(e: Expr) -> Expr:
 def eom_from_lagrangian(L: Lagrangian) -> EquationOfMotion:
     """Euler-Lagrange route: residual total_dt(dL/dxdot) - dL/dx."""
     residual = euler_lagrange_residual(L)
-    return EquationOfMotion(residual, xddot_coefficient(residual), "euler-lagrange", L.domain)
+    return EquationOfMotion(residual, "euler-lagrange", L.domain)
 
 
 def composed_eom(F: Composer, L: Lagrangian) -> EquationOfMotion:
@@ -260,9 +258,7 @@ def composed_eom(F: Composer, L: Lagrangian) -> EquationOfMotion:
         mul(p, F.deriv2(body), total_dt(body)),
         mul(sub(total_dt(p), diff(body, X)), F.deriv1(body)),
     )
-    return EquationOfMotion(
-        residual, xddot_coefficient(residual), "composition", _composed_domain(F, L)
-    )
+    return EquationOfMotion(residual, "composition", _composed_domain(F, L))
 
 
 def conservation_eom(pair: NullPair, *, seed: int = 0) -> EquationOfMotion:
@@ -288,7 +284,7 @@ def conservation_eom(pair: NullPair, *, seed: int = 0) -> EquationOfMotion:
         raise NullCertificationFailed(
             f"expanded conservation residual disagrees with total_dt: {rep.witness}"
         )
-    return EquationOfMotion(residual, xddot_coefficient(residual), "conservation", pair.domain)
+    return EquationOfMotion(residual, "conservation", pair.domain)
 
 
 def harmonic_eom(h, *, seed: int = 0) -> EquationOfMotion:
@@ -307,7 +303,7 @@ def harmonic_eom(h, *, seed: int = 0) -> EquationOfMotion:
         raise NullCertificationFailed(
             f"harmonic recursion residual disagrees with total_dt: {rep.witness}"
         )
-    return EquationOfMotion(residual, xddot_coefficient(residual), "conservation", h.domain)
+    return EquationOfMotion(residual, "conservation", h.domain)
 
 
 def solve_leading(eom: EquationOfMotion) -> Expr:
@@ -334,15 +330,15 @@ def permissibility_check(F: Composer, pair: NullPair, *, seed: int = 0) -> str:
     body = pair.assembled().body
     factor = mul(momentum(body), F.deriv2(body))
     rng = random.Random(seed)
-    for funcs in instantiation_rounds(sorted(ex.func_names(factor))):
+    for funcs in instantiation_rounds([factor], pair.domain):
         try:
-            points = sample_points([factor], pair.domain, N_EQ, rng, funcs=funcs)
+            sample = sample_points([factor], pair.domain, N_EQ, rng, funcs=funcs)
         except ex.ExprError:
             return "conditional"
-        value = point_function(factor, points[0])
-        for b in points:
+        (value,) = sample.functions
+        for row in sample.rows:
             try:
-                v = abs(float(value(b)))
+                v = abs(float(value(*row)))
             except (ArithmeticError, ValueError):
                 return "conditional"
             if not EPS_EQ < v < math.inf:

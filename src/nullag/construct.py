@@ -27,7 +27,6 @@ from .expr import (
     Expr,
     FuncSym,
     JetSym,
-    Power,
     Sum,
     T,
     X,
@@ -109,7 +108,7 @@ def _antiderivative_term(term: Expr, var: JetSym) -> Expr:
     free: list[Expr] = []
     dep: list[tuple[Expr, Fraction]] = []
     for f in factors:
-        base, q = (f.base, f.exponent) if isinstance(f, Power) else (f, Fraction(1))
+        base, q = ex._base_exponent(f)
         if _varfree(base, var):
             free.append(f)
         else:

@@ -8,6 +8,10 @@ inlines it in its generated stepper.  Sampling rejects candidate points
 that violate any guard; the box VELOCITY supplies values for
 xdot/xddot/xdddot and named constants are drawn away from zero so that
 generic nonvanishing factors stay generic.
+
+`Sample`, which `sample_points` returns, is the one point format of the
+numeric checks, and `instantiation_rounds` the one rule for the opaque
+functions they instantiate: those of the expressions and the domain guards.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import expr as ex
-from .expr import Apply, Bindings, ConstSym, Expr, Power, Sum, Product, _pysrc, compile_expr
+from .expr import Apply, ConstSym, Expr, Power, Sum, Product, _pysrc, compile_expr
 from .parser import parse
 
 # margin by which guarded quantities must stay away from their singular sets
@@ -106,19 +110,19 @@ def collect_guards(e: Expr) -> tuple[Guard, ...]:
     return tuple(found)
 
 
-def instantiation_rounds(names: list[str]) -> list[dict[str, Expr]]:
-    """All six standard-test-set assignments for the opaque names.
+def instantiation_rounds(exprs: Iterable[Expr], domain: Domain) -> list[dict[str, Expr]]:
+    """All six standard-test-set assignments for the opaque functions of
+    exprs and of the domain guards, in sorted order of their names.
 
     Round r maps the j-th name to STANDARD_FUNCTIONS[(j + r) % 6], so names
     receive distinct instantiations within a round; this keeps identities
     that only hold when two opaque functions coincide from masking checks.
     """
-    if not names:
-        return [{}]
+    names = sorted(set().union(*map(ex.func_names, (*exprs, *(g.expr for g in domain.guards)))))
     k = len(STANDARD_FUNCTIONS)
     return [
         {name: STANDARD_FUNCTIONS[(j + r) % k] for j, name in enumerate(names)}
-        for r in range(k)
+        for r in range(k if names else 1)
     ]
 
 
@@ -177,6 +181,27 @@ def guard_predicate(
     )
 
 
+@dataclass(frozen=True)
+class Sample:
+    """The guarded points of one sample_points call: each row holds the
+    values of args (jet names, then named constants as ConstSym) at one
+    point, and functions are the sampled expressions with funcs substituted,
+    compiled over args.  Arithmetic errors of functions propagate."""
+
+    funcs: dict[str, Expr]
+    args: tuple[str | ConstSym, ...]
+    rows: tuple[tuple, ...]
+    functions: tuple[Callable[..., float], ...]
+
+    def witness(self, row: tuple) -> dict:
+        """The point, constants and instantiation of row, as reports print them."""
+        return {
+            "point": {a: float(v) for a, v in zip(self.args, row) if isinstance(a, str)},
+            "constants": {a.name: float(v) for a, v in zip(self.args, row) if isinstance(a, ConstSym)},
+            "instantiation": {k: ex.to_string(v) for k, v in self.funcs.items()},
+        }
+
+
 def sample_points(
     exprs: list[Expr],
     domain: Domain,
@@ -185,14 +210,13 @@ def sample_points(
     *,
     funcs: dict[str, Expr] | None = None,
     constants: dict[str, float] | None = None,
-) -> list[Bindings]:
+) -> Sample:
     """Draw n guarded points for the free atoms of exprs.
 
     Jets and t are drawn from the domain boxes, unbound named constants
     from +/-[0.5, 2], and each candidate is rejected unless every domain
     guard and every structural guard of the (instantiated) expressions
-    holds.  The points share funcs and the order of jet and constant names,
-    so `point_function` compiles an expression once for all of them."""
+    holds.  The given constants enter each row as passed."""
     constants = dict(constants or {})
     inst = [ex.instantiate(e, funcs) for e in exprs]
     guards = [Guard(ex.instantiate(g.expr, funcs), g.positive) for g in domain.guards]
@@ -200,36 +224,23 @@ def sample_points(
     guards += [g for e in inst for g in collect_guards(e)]
     jet_names = sorted(set().union({"t"}, *(ex.free_jets(e) for e in everything)))
     const_free = sorted(set().union(*(ex.const_names(e) for e in everything)) - set(constants))
-    inside = guard_predicate(guards, (*jet_names, *map(ConstSym, (*constants, *const_free))))
+    args = (*jet_names, *map(ConstSym, (*constants, *const_free)))
+    inside = guard_predicate(guards, args)
+    boxes = [domain.x if name == "x" else domain.t if name == "t" else VELOCITY for name in jet_names]
+    given = tuple(constants.values())
 
-    points: list[Bindings] = []
+    rows: list[tuple] = []
     tries = 0
     limit = MAX_TRIES_PER_POINT * n
-    while len(points) < n and tries < limit:
+    while len(rows) < n and tries < limit:
         tries += 1
-        jets = {}
-        for name in jet_names:
-            if name == "x":
-                jets[name] = rng.uniform(*domain.x)
-            elif name == "t":
-                jets[name] = rng.uniform(*domain.t)
-            else:
-                jets[name] = rng.uniform(*VELOCITY)
-        consts = dict(constants)
-        for name in const_free:
-            consts[name] = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
-        if inside(*jets.values(), *consts.values()):
-            points.append(Bindings(jets=jets, funcs=funcs, constants=consts))
-    if len(points) < n:
+        jets = [rng.uniform(*box) for box in boxes]
+        free = [rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0) for _ in const_free]
+        if inside(*jets, *given, *free):
+            rows.append((*jets, *given, *free))
+    if len(rows) < n:
         shown = list(dict.fromkeys(ex.to_string(g.expr) for g in guards))
         raise InfeasibleDomainError(
-            f"found only {len(points)}/{n} guarded sample points in {tries} tries; guards: {shown}"
+            f"found only {len(rows)}/{n} guarded sample points in {tries} tries; guards: {shown}"
         )
-    return points
-
-
-def point_function(e: Expr, point: Bindings) -> Callable[[Bindings], float]:
-    """e compiled once for the points of one sample_points call; the result
-    takes any of those points.  Arithmetic errors propagate."""
-    fn = compile_expr(e, (*point.jets, *map(ConstSym, point.constants)), funcs=point.funcs)
-    return lambda b: fn(*b.jets.values(), *b.constants.values())
+    return Sample(dict(funcs or {}), args, tuple(rows), tuple(compile_expr(e, args) for e in inst))

@@ -20,10 +20,9 @@ from .domain import (
     Domain,
     InfeasibleDomainError,
     instantiation_rounds,
-    point_function,
     sample_points,
 )
-from .expr import Bindings, Expr, ZERO, proven_zero, sub, to_string
+from .expr import Expr, ZERO, proven_zero, sub, to_string
 
 N_EQ = 50
 EPS_EQ = 1e-9
@@ -33,17 +32,6 @@ class Verdict(str, Enum):
     PROVEN_EQUAL = "ProvenEqual"
     NUMERICALLY_EQUAL = "NumericallyEqual"
     DISTINCT = "Distinct"
-
-
-def _witness_dict(b: Bindings, lhs: float, rhs: float, funcs: dict[str, Expr]) -> dict:
-    return {
-        "point": {k: float(v) for k, v in b.jets.items()},
-        "constants": {k: float(v) for k, v in b.constants.items()},
-        "instantiation": {k: to_string(v) for k, v in funcs.items()},
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_diff": abs(lhs - rhs),
-    }
 
 
 @dataclass
@@ -96,20 +84,19 @@ def equivalent(
     if proven_zero(difference):
         return EquivalenceReport(Verdict.PROVEN_EQUAL, seed=seed, eps=eps)
     rng = random.Random(seed)
-    names = sorted(ex.func_names(e1) | ex.func_names(e2))
-    rounds = instantiation_rounds(names)
+    rounds = instantiation_rounds([e1, e2], domain)
     insts = tuple(
         "{" + ", ".join(f"{k}={to_string(v)}" for k, v in r.items()) + "}" for r in rounds if r
     )
     max_diff = 0.0
     compared = 0
     for funcs in rounds:
-        points = sample_points([e1, e2], domain, N_EQ, rng, funcs=funcs, constants=constants)
-        f1, f2 = point_function(e1, points[0]), point_function(e2, points[0])
-        for b in points:
+        sample = sample_points([e1, e2], domain, N_EQ, rng, funcs=funcs, constants=constants)
+        f1, f2 = sample.functions
+        for row in sample.rows:
             try:
-                v1 = float(f1(b))
-                v2 = float(f2(b))
+                v1 = float(f1(*row))
+                v2 = float(f2(*row))
             except (ArithmeticError, ValueError):
                 continue
             if not (math.isfinite(v1) and math.isfinite(v2)):
@@ -124,7 +111,7 @@ def equivalent(
                     eps=eps,
                     instantiations=insts,
                     max_abs_diff=max_diff,
-                    witness=_witness_dict(b, v1, v2, funcs),
+                    witness={**sample.witness(row), "lhs": v1, "rhs": v2, "abs_diff": diff},
                 )
     if not compared:
         raise InfeasibleDomainError(

@@ -700,21 +700,6 @@ def proven_zero(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sample points
-
-
-class Bindings:
-    """Numeric values for jets and named constants plus function
-    instantiations (expressions over t only): one sampled point.  Treat
-    instances as immutable after construction."""
-
-    def __init__(self, jets=None, funcs=None, constants=None):
-        self.jets: dict[str, Number] = dict(jets or {})
-        self.funcs: dict[str, Expr] = dict(funcs or {})
-        self.constants: dict[str, Number] = dict(constants or {})
-
-
-# ---------------------------------------------------------------------------
 # compilation to plain Python floats (fast path for integrators/quadrature)
 
 

@@ -1,7 +1,8 @@
 """Independent numeric oracles for the symbolic operators.
 
 `evaluate` is a tree-walking reference evaluator that shares no code with
-`compile_expr`, which the tests hold to it.  `reference_integrate` is the
+`compile_expr`, which the tests hold to it; its points are `Bindings`, and
+`sample_bindings` reads them off the rows of a `nullag.domain.Sample`.  `reference_integrate` is the
 RK4 loop written out over a compiled right-hand side and guard predicate;
 the generated stepper of `integrate` must match it bit for bit.
 `reference_add`, `reference_mul` and `reference_clear_denominators` are the
@@ -22,7 +23,6 @@ from nullag import (
     DomainExit,
     NonFiniteState,
     Apply,
-    Bindings,
     Const,
     ConstSym,
     EvaluationError,
@@ -51,6 +51,24 @@ H_FD = 1e-6
 
 class GuardViolation(EvaluationError):
     """A denominator came too close to its singular set."""
+
+
+class Bindings:
+    """Numeric values for jets and named constants plus function
+    instantiations (expressions over t only): one point for `evaluate`.
+    Treat instances as immutable after construction."""
+
+    def __init__(self, jets=None, funcs=None, constants=None):
+        self.jets = dict(jets or {})
+        self.funcs = dict(funcs or {})
+        self.constants = dict(constants or {})
+
+
+def sample_bindings(sample):
+    """The rows of a nullag Sample as Bindings, one per accepted point."""
+    for row in sample.rows:
+        w = sample.witness(row)
+        yield Bindings(jets=w["point"], funcs=sample.funcs, constants=w["constants"])
 
 
 def _exactify(v):
@@ -142,7 +160,7 @@ def check_partials_against_fd(e, domain, *, funcs=None, constants=None, n_points
     """Assert symbolic partials match central differences at guarded points."""
     rng = random.Random(seed)
     concrete = instantiate(e, funcs or {})
-    points = sample_points([concrete], domain, n_points, rng, constants=constants)
+    points = sample_bindings(sample_points([concrete], domain, n_points, rng, constants=constants))
     jets = sorted((a for a in free_atoms(concrete) if isinstance(a, JetSym)), key=lambda a: a.name)
     for b in points:
         for jet in jets:

@@ -329,6 +329,64 @@ def test_malformed_spec_record_is_an_input_error(capsys, tmp_path, record):
     assert err.startswith("input error: spec record ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "record, code, problem",
+    [
+        ({"B": "x^"}, 3, "input error: {}: expected exponent (at position 2)"),
+        ({"B": "x", "domain": {"x": [2, 1]}}, 3, "input error: {}: x box must be a finite lo,hi"),
+        ({"kind": "fraction", "f1": "x", "f2": "1"}, 3, "input error: {}: f1 must be a function of t only"),
+        ({"B": "x'"}, 3, "input error: {}: B may not contain ['xdot']"),
+        ({"kind": "fraction", "f1": "1", "f2": "0"}, 2, "error: {}: f2*x + f3*t + f4 is identically zero"),
+    ],
+    ids=["parse", "box", "fraction-f1", "B-jets", "denominator"],
+)
+def test_spec_record_names_itself_on_derivation_errors(capsys, tmp_path, record, code, problem):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"B": "x^2"}, record]))
+    got, out, err = run(capsys, "derive", "--spec-file", str(spec))
+    assert got == code
+    assert out == ""
+    assert err.startswith(problem.format(f"spec record {json.dumps(record)}"))
+
+
+def test_verify_instantiates_functions_only_a_guard_names(capsys):
+    code, report, err = run_json(capsys, "verify", "x'^2*f2(t)", "--guard", "+f1(t)")
+    assert code == 2
+    assert err == ""
+    assert report["verdict"] == "NotNull"
+    assert set(report["equivalence"]["witness"]["instantiation"]) == {"f1", "f2"}
+
+
+def test_eom_permissibility_instantiates_functions_only_a_guard_names(capsys):
+    """A guard can only shrink the domain, so it cannot turn "ok" into
+    "conditional" by naming a function the factor lacks."""
+    argv = ("eom", "--B", "f1(t)*x", "--compose", "reciprocal")
+    for extra in ((), ("--guard", "+f2(t)")):
+        code, report, _ = run_json(capsys, *argv, *extra)
+        assert code == 0
+        assert report["permissible"] == "ok"
+
+
+_FUNCTION_TERMS = st.sampled_from(["x'^2", "x*x'", "x'", "x^2", "t", "f1(t)", "f2(t)'", "f1(t)*x'^2", "x'*f2(t)"])
+_GUARDS = st.sampled_from(["f1(t)", "+f1(t)", "f2(t) - t", "+1 + f2(t)^2", "f1(t) + x", "+f3(t)"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    terms=st.lists(_FUNCTION_TERMS, min_size=1, max_size=3),
+    factor=st.sampled_from(["1", "f1(t)", "f2(t)", "f3(t)'"]),
+    guards=st.lists(_GUARDS, max_size=2),
+)
+def test_verify_with_function_guards_never_leaves_a_function_unbound(capsys, terms, factor, guards):
+    """Every opaque function of the Lagrangian or of a guard is instantiated
+    before sampling, so no check stops on an unbound function."""
+    argv = ["verify", f"({' + '.join(terms)})*{factor}", "--json"]
+    for g in guards:
+        argv += ["--guard", g]
+    assert main(argv) in (0, 2, 3)
+    assert "unbound at compile time" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["1/0", "1/(x - x)", "0^(-1)", "(x - x)^(-2)", "x^(1/0)"])
 def test_division_by_zero_in_input_is_an_input_error(capsys, text):
     code, out, err = run(capsys, "verify", text)

@@ -13,7 +13,6 @@ from hypothesis import assume, given, strategies as st
 
 from nullag import (
     Apply,
-    Bindings,
     Const,
     ConstSym,
     Domain,
@@ -51,9 +50,10 @@ from nullag import (
     total_dt,
 )
 
-from nullag.domain import instantiation_rounds, point_function
-from nullag.expr import MINUS_ONE, clear_denominators, func_names, sort_key
+from nullag.domain import instantiation_rounds
+from nullag.expr import MINUS_ONE, clear_denominators, sort_key
 from oracles import (
+    Bindings,
     GuardViolation,
     check_partials_against_fd,
     check_total_dt_against_fd,
@@ -61,6 +61,7 @@ from oracles import (
     reference_add,
     reference_clear_denominators,
     reference_mul,
+    sample_bindings,
 )
 
 
@@ -325,11 +326,11 @@ def test_compile_expr_matches_evaluate(corpus_pairs):
             cases.append((eom.explicit(), Domain(guards=eom.guards())))
     rng = random.Random(0)
     for e, domain in cases:
-        for funcs in instantiation_rounds(sorted(func_names(e))):
-            points = sample_points([e], domain, 20, rng, funcs=funcs)
-            fn = point_function(e, points[0])
-            for b in points:
-                assert fn(b) == pytest.approx(float(evaluate(e, b)), rel=1e-12, abs=0), to_string(e)
+        for funcs in instantiation_rounds([e], domain):
+            sample = sample_points([e], domain, 20, rng, funcs=funcs)
+            (fn,) = sample.functions
+            for row, b in zip(sample.rows, sample_bindings(sample)):
+                assert fn(*row) == pytest.approx(float(evaluate(e, b)), rel=1e-12, abs=0), to_string(e)
 
 
 def test_compiled_fractional_power_of_negative_base_raises():
@@ -343,8 +344,9 @@ def test_constants_named_like_python_or_jet_names():
     e = parse("math*x + xdot*x' + lambda")
     fn = compile_expr(e, ("x", "xdot", ConstSym("math"), ConstSym("xdot"), ConstSym("lambda")))
     assert fn(1.0, 2.0, 3.0, 4.0, 5.0) == 3.0 + 8.0 + 5.0
-    points = sample_points([e], Domain(), 5, random.Random(0))
-    assert all({"math", "xdot", "lambda"} <= set(b.constants) for b in points)
+    sample = sample_points([e], Domain(), 5, random.Random(0))
+    assert {ConstSym("math"), ConstSym("xdot"), ConstSym("lambda")} <= set(sample.args)
+    assert len(sample.rows) == 5
     padded = parse("x*math + x'*xdot + lambda + sin(t)^2 + cos(t)^2 - 1")
     assert equivalent(e, padded).verdict is Verdict.NUMERICALLY_EQUAL
     assert equivalent(e, parse("x*math + x'*math + lambda")).verdict is Verdict.DISTINCT
