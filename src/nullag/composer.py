@@ -116,9 +116,9 @@ class Composer:
 
     @classmethod
     def from_expr(cls, body: Expr) -> "Composer":
-        """Composer whose slot is the named constant L of body."""
-        body = substitute(body, {ConstSym("L"): _SLOT})
-        return cls(f"user({to_string(body)})", body)
+        """Composer whose slot is the named constant L of body, which may hold no jet."""
+        ex.require_support(body, set(), "compose")
+        return cls(f"user({to_string(body)})", substitute(body, {ConstSym("L"): _SLOT}))
 
 
 CATALOG = {

@@ -97,7 +97,7 @@ def antiderivative(e: Expr, var: JetSym) -> Expr:
     result = add(*parts) if parts else ZERO
     check = sub(diff(result, var), e)
     if not ex.proven_zero(check):
-        raise AssertionError(
+        raise NullCertificationFailed(
             f"antiderivative self-check failed for {to_string(e)}: residue {to_string(check)}"
         )
     return result
@@ -303,10 +303,7 @@ class FractionSpec:
 
     def __post_init__(self):
         for name in ("f1", "f2", "f3", "f4"):
-            e = getattr(self, name)
-            bad = ex.free_jets(e) - {"t"}
-            if bad:
-                raise ValueError(f"{name} must be a function of t only, found {sorted(bad)}")
+            ex.require_support(getattr(self, name), {"t"}, name)
 
     def denominator(self) -> Expr:
         return add(mul(self.f2, X), mul(self.f3, T), self.f4)

@@ -566,7 +566,16 @@ def _walk_atoms(e: Expr, out: set) -> None:
 
 
 def free_jets(e: Expr) -> set[str]:
-    return {a.name for a in free_atoms(e) if isinstance(a, JetSym)}
+    """The jets e depends on; an opaque f(t) counts as t, a named constant as none."""
+    atoms = [a for a in free_atoms(e) if not isinstance(a, ConstSym)]
+    return {"t" if isinstance(a, FuncSym) else a.name for a in atoms}
+
+
+def require_support(e: Expr, allowed: set[str], name: str) -> None:
+    """The one input check: ValueError when e depends on a jet outside allowed."""
+    bad = free_jets(e) - allowed
+    if bad:
+        raise ValueError(f"{name} may not contain {sorted(bad)}")
 
 
 def func_names(e: Expr) -> set[str]:
@@ -617,9 +626,7 @@ def instantiate(e: Expr, funcs: Mapping[str, Expr] | None) -> Expr:
     if not funcs:
         return e
     for name, body in funcs.items():
-        bad = free_jets(body) - {"t"}
-        if bad:
-            raise ValueError(f"instantiation of {name!r} must depend on t only, found {sorted(bad)}")
+        require_support(body, {"t"}, f"instantiation of {name!r}")
     cache: dict[tuple[str, int], Expr] = {}
 
     def derived(name: str, order: int) -> Expr:

@@ -79,7 +79,6 @@ class SystemCase:
     absent_reason: str | None = None
     absent_witness: dict | None = None
     eom: EquationOfMotion | None = None
-    target_residual: Expr | None = None
     constants: dict = field(default_factory=dict)
 
     @property
@@ -89,6 +88,10 @@ class SystemCase:
     @property
     def C(self) -> Expr | None:
         return self.null_pair.C if self.null_pair else None
+
+    @property
+    def target_residual(self) -> Expr:
+        return _target_residual(self.alpha, self.beta, self.gamma)
 
     def to_dict(self) -> dict:
         return {
@@ -103,9 +106,7 @@ class SystemCase:
             "absent_reason": self.absent_reason,
             "absent_witness": self.absent_witness,
             "eom": self.eom.to_dict() if self.eom else None,
-            "target_residual": to_string(self.target_residual)
-            if self.target_residual is not None
-            else None,
+            "target_residual": to_string(self.target_residual),
             "constants": {k: to_string(v) if isinstance(v, Expr) else v for k, v in self.constants.items()},
         }
 
@@ -114,6 +115,16 @@ def _as_expr(v) -> Expr:
     if isinstance(v, str):
         return parse(v)
     return ex.const(v) if not isinstance(v, Expr) else v
+
+
+def _inputs(support: set[str], **values) -> list[Expr | None]:
+    """Each value as an expression whose jets lie in support, in order; a
+    value not given (None) stays None."""
+    out = [None if v is None else _as_expr(v) for v in values.values()]
+    for name, e in zip(values, out):
+        if e is not None:
+            ex.require_support(e, support, name)
+    return out
 
 
 def _is_zero(e: Expr) -> bool:
@@ -147,15 +158,12 @@ def classify_constant(alpha0, beta0, gamma0, *, seed: int = 0) -> SystemCase:
     Admissible cases emit B = B0*e^(alpha0*x + beta0*t/2) with C pinned
     by the tie constraint (1 + alpha0*x)*gamma0 = beta0^2/4.
     """
-    alpha0, beta0, gamma0 = _as_expr(alpha0), _as_expr(beta0), _as_expr(gamma0)
-    target = _target_residual(alpha0, beta0, gamma0)
+    alpha0, beta0, gamma0 = _inputs(set(), alpha0=alpha0, beta0=beta0, gamma0=gamma0)
     constraint = sub(
         mul(add(Const(Fraction(1)), mul(alpha0, X)), gamma0),
         mul(Const(Fraction(1, 4)), pow_(beta0, 2)),
     )
-    common = dict(
-        alpha=alpha0, beta=beta0, gamma=gamma0, constraints=(constraint,), target_residual=target
-    )
+    common = dict(alpha=alpha0, beta=beta0, gamma=gamma0, constraints=(constraint,))
 
     if _is_zero(alpha0) and _is_zero(beta0) and _is_zero(gamma0):
         classification, B, C = Classification.INERTIA, B0, ZERO
@@ -183,10 +191,7 @@ def gamma_from_beta(beta: Expr) -> Expr:
     """Spring coefficient tied to a time-dependent damping coefficient:
     gamma = beta'/2 + beta^2/4 (unique up to the integration-constant
     convention, which is fixed to zero)."""
-    beta = _as_expr(beta)
-    bad = ex.free_jets(beta) - {"t"}
-    if bad:
-        raise ValueError(f"beta must be a function of t only, found {sorted(bad)}")
+    (beta,) = _inputs({"t"}, beta=beta)
     return add(mul(Const(Fraction(1, 2)), diff(beta, T)), mul(Const(Fraction(1, 4)), pow_(beta, 2)))
 
 
@@ -205,14 +210,14 @@ def build_timedep(
     gamma integral.  A nonzero alpha1 only admits the constant
     quadratic-damping case.
     """
-    beta1, alpha1 = _as_expr(beta1), _as_expr(alpha1)
+    beta1, alpha1, gamma1 = _inputs({"t"}, beta1=beta1, alpha1=alpha1, gamma1=gamma1)
     if not _is_zero(alpha1):
         if not ex.proven_zero(diff(alpha1, T)):
             raise ConstraintViolated(
                 "a nonzero quadratic-damping coefficient must be constant in t; "
                 f"found alpha1' = {to_string(diff(alpha1, T))}"
             )
-        if not (_is_zero(beta1) and (gamma1 is None or _is_zero(_as_expr(gamma1)))):
+        if not (_is_zero(beta1) and (gamma1 is None or _is_zero(gamma1))):
             raise ConstraintViolated(
                 "with alpha1 != 0 the condition forces beta1 = gamma1 = 0 "
                 "(constant quadratic damping is the only admissible case)"
@@ -222,7 +227,6 @@ def build_timedep(
     if gamma1 is None:
         gamma1 = tied
     else:
-        gamma1 = _as_expr(gamma1)
         rep = equivalent(gamma1, tied, domain, seed=seed)
         if rep.verdict is Verdict.DISTINCT:
             raise ConstraintViolated(
@@ -234,7 +238,6 @@ def build_timedep(
     return _admissible(
         Classification.TIME_DEPENDENT_OSCILLATOR, B, C, domain, seed,
         alpha=ZERO, beta=beta1, gamma=gamma1, constraints=(sub(gamma1, tied),),
-        target_residual=_target_residual(ZERO, beta1, gamma1),
     )
 
 
@@ -271,11 +274,10 @@ def build_displacement(
     C = 2*gamma2*B/beta0; for beta0 = 0 it is B = B0*e^(I),
     C = B0*t*gamma2*e^(I); I is the x-antiderivative of alpha2.
     """
-    alpha2, beta0 = _as_expr(alpha2), _as_expr(beta0)
+    alpha2, gamma2 = _inputs({"x"}, alpha2=alpha2, gamma2=gamma2)
+    beta0, ctilde = _inputs(set(), beta0=beta0, ctilde=ctilde)
     if gamma2 is None:
         gamma2 = solve_gamma_displacement(alpha2, beta0, ctilde)
-    else:
-        gamma2 = _as_expr(gamma2)
     constraint = sub(
         add(mul(X, diff(gamma2, X)), mul(gamma2, add(Const(Fraction(1)), mul(alpha2, X)))),
         mul(Const(Fraction(1, 4)), pow_(beta0, 2)),
@@ -296,7 +298,6 @@ def build_displacement(
     return _admissible(
         Classification.DISPLACEMENT_DEPENDENT, B, C, domain, seed,
         alpha=alpha2, beta=beta0, gamma=gamma2, constraints=(constraint,),
-        target_residual=_target_residual(alpha2, beta0, gamma2),
         constants={"B0": B0, "ctilde": ctilde},
     )
 

@@ -27,8 +27,8 @@ from .expr import (
     add,
     compile_expr,
     diff,
-    free_jets,
     mul,
+    require_support,
     sub,
     to_string,
     total_dt,
@@ -39,7 +39,7 @@ ACTION_PANELS = 2000
 
 
 class NullCertificationFailed(ex.ExprError):
-    """Construction-time certificate of nullity failed (internal bug guard)."""
+    """A certificate of nullity or a derivation self-check failed; no valid input reaches it."""
 
 
 class NullVerdict(str, Enum):
@@ -77,9 +77,7 @@ class Lagrangian:
     domain: Domain = DEFAULT_DOMAIN
 
     def __post_init__(self):
-        bad = free_jets(self.body) - {"x", "xdot", "t"}
-        if bad:
-            raise ValueError(f"Lagrangian body may not contain {sorted(bad)}")
+        require_support(self.body, {"x", "xdot", "t"}, "Lagrangian body")
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,7 @@ class GaugeFunction:
     domain: Domain = DEFAULT_DOMAIN
 
     def __post_init__(self):
-        bad = free_jets(self.body) - {"x", "t"}
-        if bad:
-            raise ValueError(f"gauge function may not contain {sorted(bad)}")
+        require_support(self.body, {"x", "t"}, "gauge function")
 
 
 @dataclass(frozen=True)
@@ -122,9 +118,7 @@ class NullPair:
         seed: int = 0,
     ) -> "NullPair":
         for name, e, allowed in (("B", B, {"x", "t"}), ("C", C, {"x", "t"}), ("f", f, {"t"})):
-            bad = free_jets(e) - allowed
-            if bad:
-                raise ValueError(f"{name} may not contain {sorted(bad)}")
+            require_support(e, allowed, name)
         # the Euler-Lagrange residual of B*xdot + C*x + f is the null-condition
         # residual, so this one verdict certifies both
         report = is_null(cls(B, C, f, domain).assembled(), seed=seed)

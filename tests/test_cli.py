@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nullag.construct
 import nullag.numint
+from nullag import Domain, Verdict, ZERO, equivalent, gamma_from_beta, mul, parse, pow_, to_string
 from nullag.cli import main
 
 
@@ -334,7 +337,7 @@ def test_malformed_spec_record_is_an_input_error(capsys, tmp_path, record):
     [
         ({"B": "x^"}, 3, "input error: {}: expected exponent (at position 2)"),
         ({"B": "x", "domain": {"x": [2, 1]}}, 3, "input error: {}: x box must be a finite lo,hi"),
-        ({"kind": "fraction", "f1": "x", "f2": "1"}, 3, "input error: {}: f1 must be a function of t only"),
+        ({"kind": "fraction", "f1": "x", "f2": "1"}, 3, "input error: {}: f1 may not contain ['x']"),
         ({"B": "x'"}, 3, "input error: {}: B may not contain ['xdot']"),
         ({"kind": "fraction", "f1": "1", "f2": "0"}, 2, "error: {}: f2*x + f3*t + f4 is identically zero"),
     ],
@@ -457,3 +460,98 @@ def test_derive_spec_file_never_raises(capsys, tmp_path, records):
     spec.write_text(json.dumps(records))
     assert main(["derive", "--spec-file", str(spec), "--json"]) in (0, 2, 3)
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# input support: each catalog coefficient and composer states what it may hold
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["system", "timedep", "--beta1", "0", "--alpha1", "x"], "alpha1"),
+        (["system", "timedep", "--beta1", "t", "--gamma1", "x'"], "gamma1"),
+        (["system", "displacement", "--alpha2", "t", "--beta0", "1"], "alpha2"),
+        (["system", "displacement", "--alpha2", "x'", "--beta0", "1"], "alpha2"),
+        (["system", "displacement", "--alpha2", "1", "--beta0", "x"], "beta0"),
+        (["system", "displacement", "--alpha2", "1", "--beta0", "1", "--ctilde", "x"], "ctilde"),
+        (["eom", "--L", "x'^2/2", "--compose", "x*L"], "compose"),
+    ],
+    ids=["alpha1-x", "gamma1-xdot", "alpha2-t", "alpha2-xdot", "beta0-x", "ctilde-x", "compose-x"],
+)
+def test_input_outside_its_support_is_an_input_error(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"input error: {field} may not contain")
+    assert "Traceback" not in err
+
+
+def test_time_dependent_quadratic_damping_is_a_verification_failure(capsys):
+    code, _, err = run(capsys, "system", "timedep", "--beta1", "0", "--alpha1", "t")
+    assert code == 2
+    assert err.startswith("verification failure: a nonzero quadratic-damping coefficient")
+
+
+def test_user_composer_is_named_by_the_users_body(capsys):
+    code, report, _ = run_json(capsys, "eom", "--L", "x'^2/2", "--compose", "L^2")
+    assert code == 0
+    assert report["composer"] == "user(L^2)"
+
+
+def test_failed_antiderivative_self_check_is_a_verification_failure(capsys, monkeypatch):
+    monkeypatch.setattr(nullag.construct, "_antiderivative_term", lambda term, var: ZERO)
+    code, out, err = run(capsys, "derive", "--B", "x*t")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("verification failure: antiderivative self-check failed")
+    assert "Traceback" not in err
+
+
+_K = st.sampled_from(["1", "2", "-1", "1/2", "-3/4"])
+
+
+@st.composite
+def _catalog_argv(draw) -> list[str]:
+    """A valid `system` command line; values are passed as --flag=value so a
+    leading minus is not read as a flag."""
+    k = draw(_K)
+    variant = draw(st.sampled_from(["constant", "timedep", "displacement"]))
+    if variant == "constant":
+        alpha, beta, gamma = draw(st.sampled_from([
+            ("0", "0", "0"),
+            ("0", k, str(Fraction(k) ** 2 / 4)),
+            (k, "0", "0"),
+            (k, draw(_K), draw(_K)),
+        ]))
+        return ["system", "constant", f"--alpha={alpha}", f"--beta={beta}", f"--gamma={gamma}"]
+    if variant == "timedep":
+        beta1 = draw(st.sampled_from([k, f"{k}/t", f"{k}*t", f"{k}*t^2", f"{k} + t", "0"]))
+        argv = ["system", "timedep", f"--beta1={beta1}", "--t-box=1,3"]
+        if beta1 == "0" and draw(st.booleans()):
+            argv.append(f"--alpha1={draw(_K)}")
+        elif draw(st.booleans()):
+            argv.append(f"--gamma1={to_string(gamma_from_beta(parse(beta1)))}")
+        return argv
+    return [
+        "system", "displacement",
+        f"--alpha2={draw(st.sampled_from([k, f'{k}/x', '0']))}",
+        f"--beta0={draw(st.sampled_from(['0', 'b0', k]))}",
+        f"--ctilde={draw(st.sampled_from(['0', '1', 'ct1']))}",
+    ]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_catalog_argv())
+def test_catalog_equation_of_motion_is_its_target(capsys, argv):
+    """For every valid catalog input, the conservation equation of motion
+    divided by B is the target x'' + alpha*x'^2 + beta*x' + gamma*x."""
+    code, report, err = run_json(capsys, *argv)
+    assert code == 0, err
+    case = report["system"]
+    if case["eom"] is None:
+        assert case["classification"] == "NoNullLagrangian"
+        return
+    quotient = mul(parse(case["eom"]["residual"]), pow_(parse(case["B"]), -1))
+    rep = equivalent(quotient, parse(case["target_residual"]), Domain(t=(1.0, 3.0)), seed=1)
+    assert rep.verdict is not Verdict.DISTINCT, (argv, rep.witness)

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nullag import (
     Composer,
@@ -264,3 +265,31 @@ def test_fractional_power_base_stays_positive_under_the_cleared_form():
     with pytest.raises(DomainExit) as err:
         integrate(eom.ivp(0.0, -1.0, 1.0, 1.0, 0.1))
     assert err.value.t == 0.0
+
+
+# user composers: a body over L and named constants
+_USER_BODIES = st.recursive(
+    st.sampled_from(["L", "L", "a0", "b0", "2"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: f"({ab[0]} + {ab[1]})"),
+        st.tuples(inner, inner).map(lambda ab: f"({ab[0]})*({ab[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "3", "(-1)", "(1/2)"])).map(lambda bq: f"({bq[0]})^{bq[1]}"),
+        st.tuples(st.sampled_from(["exp", "ln"]), inner).map(lambda fa: f"{fa[0]}({fa[1]})"),
+    ),
+    max_leaves=4,
+).filter(lambda body: "L" in body)
+# positive on the default box, so every range guard of a composer body over
+# positive constants is satisfiable
+_POSITIVE_LAGRANGIANS = st.sampled_from(["x'^2/2 + x", "x*x'^2 + t", "exp(t)*x'^2/2 + x^2", "x'^2 + 1/x"])
+
+
+@given(body=_USER_BODIES, lagrangian=_POSITIVE_LAGRANGIANS)
+def test_user_composer_equation_of_motion_is_euler_lagrange_of_the_composition(body, lagrangian):
+    F = Composer.from_expr(parse(body))
+    L = Lagrangian(parse(lagrangian))
+    try:
+        composed = compose(F, L)
+    except RangeGuardViolated:
+        return
+    rep = equivalent(composed_eom(F, L).residual, euler_lagrange_residual(composed), composed.domain, seed=1)
+    assert rep.verdict is not Verdict.DISTINCT, (body, lagrangian, rep.witness)

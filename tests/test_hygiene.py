@@ -45,3 +45,32 @@ def test_unused_import_is_found():
         "math (line 1)",
         "Power (line 2)",
     ]
+
+
+def _assertions(source: str) -> list[str]:
+    """Assert statements and raised AssertionErrors: a failed internal check
+    must raise the package's own exception, which the CLI maps to an exit
+    code, and must not vanish under python -O."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append(f"assert (line {node.lineno})")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"raise AssertionError (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_has_no_assertions(module):
+    assert _assertions((PACKAGE / module).read_text()) == []
+
+
+def test_assertions_are_found():
+    source = "assert x\nraise AssertionError('no')\nraise AssertionError\nraise ValueError('ok')\n"
+    assert _assertions(source) == [
+        "assert (line 1)",
+        "raise AssertionError (line 2)",
+        "raise AssertionError (line 3)",
+    ]
