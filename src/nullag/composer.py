@@ -116,8 +116,11 @@ class Composer:
 
     @classmethod
     def from_expr(cls, body: Expr) -> "Composer":
-        """Composer whose slot is the named constant L of body, which may hold no jet."""
+        """Composer whose slot is the named constant L of body, which may hold
+        no jet and must hold L: a body without L is constant in L."""
         ex.require_support(body, set(), "compose")
+        if "L" not in ex.const_names(body):
+            raise ValueError(f"compose {to_string(body)} does not contain L and admits no dynamics")
         return cls(f"user({to_string(body)})", substitute(body, {ConstSym("L"): _SLOT}))
 
 

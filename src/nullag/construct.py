@@ -57,8 +57,9 @@ class AntiderivativeUnsupported(ex.ExprError):
     """The integrand lies outside the supported antiderivative class."""
 
 
-class DenominatorVanishes(ex.ExprError):
-    """A fractional generating function has an identically zero denominator."""
+class DenominatorVanishes(ex.ExprError, ValueError):
+    """A fractional generating function has an identically zero denominator
+    (an input error)."""
 
 
 def _varfree(e: Expr, var: JetSym) -> bool:

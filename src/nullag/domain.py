@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from . import expr as ex
@@ -185,13 +186,18 @@ def guard_predicate(
 class Sample:
     """The guarded points of one sample_points call: each row holds the
     values of args (jet names, then named constants as ConstSym) at one
-    point, and functions are the sampled expressions with funcs substituted,
-    compiled over args.  Arithmetic errors of functions propagate."""
+    point, and exprs are the sampled expressions with funcs substituted."""
 
     funcs: dict[str, Expr]
     args: tuple[str | ConstSym, ...]
     rows: tuple[tuple, ...]
-    functions: tuple[Callable[..., float], ...]
+    exprs: tuple[Expr, ...]
+
+    @cached_property
+    def functions(self) -> tuple[Callable[..., float], ...]:
+        """exprs compiled over args, on first use (a feasibility check needs
+        only the rows).  Arithmetic errors of the functions propagate."""
+        return tuple(compile_expr(e, self.args) for e in self.exprs)
 
     def witness(self, row: tuple) -> dict:
         """The point, constants and instantiation of row, as reports print them."""
@@ -243,4 +249,4 @@ def sample_points(
         raise InfeasibleDomainError(
             f"found only {len(rows)}/{n} guarded sample points in {tries} tries; guards: {shown}"
         )
-    return Sample(dict(funcs or {}), args, tuple(rows), tuple(compile_expr(e, args) for e in inst))
+    return Sample(dict(funcs or {}), args, tuple(rows), tuple(inst))

@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import expr as ex
 from .domain import (
@@ -74,12 +73,11 @@ def equivalent(
     Raises InfeasibleDomainError when no sampled point of any round gave
     finite values of both sides, since then nothing was compared."""
     if constants:
-        # bind the exact rational value of each constant before the proof, so
-        # a proof never rests on float rounding; the sampler still receives
-        # the values so that domain guards mentioning them stay consistent
-        exact = {k: Fraction(v) for k, v in constants.items()}
-        e1 = ex.bind_constants(e1, exact)
-        e2 = ex.bind_constants(e2, exact)
+        # bind_constants is exact, so a proof never rests on float rounding;
+        # the sampler still receives the values so that domain guards
+        # mentioning them stay consistent
+        e1 = ex.bind_constants(e1, constants)
+        e2 = ex.bind_constants(e2, constants)
     difference = sub(e1, e2)
     if proven_zero(difference):
         return EquivalenceReport(Verdict.PROVEN_EQUAL, seed=seed, eps=eps)

@@ -6,11 +6,14 @@ derivative order.  Every public constructor canonicalizes its result:
 sums of monomials with merged rational coefficients, a deterministic total
 ordering of atoms, powers of sums and products above 1 expanded down to
 their fractional part (u^(5/2) is u^2 expanded times u^(1/2)), x^0 and
-empty products
-collapsed to 1, zero coefficients dropped, and exponentials merged via
-exp(a)*exp(b) = exp(a+b).  Rational multiples of ln(u) inside an exp are
-converted to powers, so exp(q*ln(u)) and u^q meet in the same canonical
-form.
+empty products collapsed to 1, zero coefficients dropped, and
+exponentials merged via exp(a)*exp(b) = exp(a+b).  Rational multiples of
+ln(u) inside an exp are converted to powers, so exp(q*ln(u)) and u^q meet
+in the same canonical form.
+
+Every constant is an exact rational: _coerce is the one place a number
+enters the kernel, and it reads a float as the binary rational it holds.
+Floats appear only in the Python source that compile_expr generates.
 
 add and mul sort their inputs into buckets (monomials in add, bases in mul)
 and rebuild only the buckets where something merged; a term or factor that
@@ -104,9 +107,9 @@ class Expr:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Const(Expr):
-    """Exact rational (fractions.Fraction) or float constant."""
+    """Exact rational constant; build it through _coerce (or const)."""
 
-    value: Union[Fraction, float]
+    value: Fraction
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -173,16 +176,17 @@ _JETS = {s.name: s for s in (X, XDOT, XDDOT, XDDDOT, T)}
 
 
 def _coerce(v) -> Expr:
+    """v as an expression: an int, Fraction or float becomes Const of the
+    exact rational it holds (0.1 is 3602879701896397/36028797018963968).
+    A non-finite float raises ValueError."""
     if isinstance(v, Expr):
         return v
     if isinstance(v, bool):
         raise TypeError("bool is not a valid expression constant")
-    if isinstance(v, int):
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{v!r} is not a finite number")
+    if isinstance(v, (int, float, Fraction)):
         return Const(Fraction(v))
-    if isinstance(v, Fraction):
-        return Const(v)
-    if isinstance(v, float):
-        return Const(v)
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
@@ -226,7 +230,7 @@ def _sort_key(e: Expr):
     raise TypeError(f"unknown node {e!r}")
 
 
-def as_coeff_factors(e: Expr) -> tuple[Union[Fraction, float], tuple[Expr, ...]]:
+def as_coeff_factors(e: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
     """Split a canonical non-Sum term into (coefficient, monomial factors)."""
     if isinstance(e, Const):
         return e.value, ()
@@ -255,7 +259,7 @@ def add(*args) -> Expr:
     # Each bucket is [coefficient, monomial factors, the term itself while
     # nothing has merged into it]; a lone term is kept, not rebuilt.
     buckets: dict[tuple, list] = {}
-    const_acc: Union[Fraction, float] = _F0
+    const_acc = _F0
     stack = [_coerce(a) for a in reversed(args)]
     while stack:
         a = stack.pop()
@@ -288,7 +292,7 @@ def _is_simple_factor(e: Expr) -> bool:
 
 
 def mul(*args) -> Expr:
-    coeff: Union[Fraction, float] = _F1
+    coeff = _F1
     flat: list[Expr] = []
     stack = [_coerce(a) for a in reversed(args)]
     while stack:
@@ -417,12 +421,7 @@ def apply_fn(func: str, arg) -> Expr:
         extracted: list[Expr] = []
         for term in terms:
             c, fs = as_coeff_factors(term)
-            if (
-                len(fs) == 1
-                and isinstance(fs[0], Apply)
-                and fs[0].func == "ln"
-                and isinstance(c, Fraction)
-            ):
+            if len(fs) == 1 and isinstance(fs[0], Apply) and fs[0].func == "ln":
                 extracted.append(pow_(fs[0].arg, c))
             else:
                 kept.append(term)
@@ -650,9 +649,7 @@ def bind_constants(e: Expr, values: Mapping[str, Number]) -> Expr:
 
 def canonicalize(e: Expr) -> Expr:
     """Rebuild an arbitrary tree through the canonicalizing constructors."""
-    return _rebuild(
-        e, lambda a: Const(Fraction(a.value)) if isinstance(a, Const) and isinstance(a.value, int) else a
-    )
+    return _rebuild(e, lambda a: _coerce(a.value) if isinstance(a, Const) else a)
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +717,13 @@ def _pysrc(e: Expr, names: Mapping[str, str] | None = None) -> str:
     """Python source of e over plain floats.  names maps jet names to the
     identifiers to use for them; without it a jet is its own name."""
     if isinstance(e, Const):
-        v = e.value
-        if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return f"({v.numerator})"
-            return f"({v.numerator}/{v.denominator})"
-        return f"({v!r})"
+        # the nearest float keeps the generated arithmetic float with float,
+        # which CPython runs faster than int with float, with the same result;
+        # a value beyond float range stays exact and overflows where it is used
+        try:
+            return f"({float(e.value)!r})"
+        except OverflowError:
+            return f"({e.value})"
     if isinstance(e, JetSym) and names is not None:
         return names[e.name]
     if isinstance(e, (JetSym, ConstSym)):
@@ -810,14 +808,6 @@ def compile_expr(
 # printing (canonical; parse(to_string(e)) == e on canonical rational trees)
 
 
-def _print_const_positive(v) -> str:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return repr(v)
-
-
 def _print_base(b: Expr) -> str:
     if isinstance(b, (JetSym, ConstSym, FuncSym, Apply)):
         return _print_factor(b)
@@ -862,7 +852,7 @@ def _print_term(coeff, factors: tuple[Expr, ...]) -> str:
                 den_parts.append(_print_pow(f.base, -f.exponent))
         else:
             num_parts.append(_print_factor(f))
-    cs = _print_const_positive(coeff)
+    cs = str(coeff)
     if cs != "1" or not num_parts:
         num_parts.insert(0, cs)
     num = "*".join(num_parts)

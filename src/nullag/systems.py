@@ -111,16 +111,10 @@ class SystemCase:
         }
 
 
-def _as_expr(v) -> Expr:
-    if isinstance(v, str):
-        return parse(v)
-    return ex.const(v) if not isinstance(v, Expr) else v
-
-
 def _inputs(support: set[str], **values) -> list[Expr | None]:
     """Each value as an expression whose jets lie in support, in order; a
     value not given (None) stays None."""
-    out = [None if v is None else _as_expr(v) for v in values.values()]
+    out = [None if v is None else ex.const(v) for v in values.values()]
     for name, e in zip(values, out):
         if e is not None:
             ex.require_support(e, support, name)
@@ -133,13 +127,6 @@ def _is_zero(e: Expr) -> bool:
 
 def _target_residual(alpha: Expr, beta: Expr, gamma: Expr) -> Expr:
     return add(XDDOT, mul(alpha, pow_(XDOT, 2)), mul(beta, XDOT), mul(gamma, X))
-
-
-def _constraint_witness(constraint: Expr, domain: Domain, seed: int = 0) -> dict | None:
-    rep = vanishes(constraint, domain, seed=seed)
-    if rep.verdict is Verdict.DISTINCT:
-        return rep.witness
-    return None
 
 
 def _admissible(classification, B: Expr, C: Expr, domain: Domain, seed: int, **fields) -> SystemCase:
@@ -181,7 +168,9 @@ def classify_constant(alpha0, beta0, gamma0, *, seed: int = 0) -> SystemCase:
                 "the tie constraint (1 + alpha0*x)*gamma0 = beta0^2/4 cannot hold identically "
                 "for these constants"
             ),
-            absent_witness=_constraint_witness(constraint, DEFAULT_DOMAIN, seed),
+            # the case is decided exactly, so any sampled point where the
+            # constraint is nonzero is a witness: eps=0
+            absent_witness=vanishes(constraint, DEFAULT_DOMAIN, eps=0, seed=seed).witness,
             **common,
         )
     return _admissible(classification, B, C, DEFAULT_DOMAIN, seed, **common)
@@ -247,7 +236,7 @@ def solve_gamma_displacement(alpha2, beta0, ctilde=ZERO) -> Expr:
     Substituting u = x*gamma turns the constraint into u' + alpha2*u =
     beta0^2/4, solved with the integrating factor e^(I) where I is the
     x-antiderivative of alpha2; ctilde is the integration constant."""
-    alpha2, beta0, ctilde = _as_expr(alpha2), _as_expr(beta0), _as_expr(ctilde)
+    alpha2, beta0, ctilde = ex.const(alpha2), ex.const(beta0), ex.const(ctilde)
     I_alpha = antiderivative(alpha2, X)
     E = apply_fn("exp", I_alpha)
     forced = (

@@ -339,7 +339,7 @@ def test_malformed_spec_record_is_an_input_error(capsys, tmp_path, record):
         ({"B": "x", "domain": {"x": [2, 1]}}, 3, "input error: {}: x box must be a finite lo,hi"),
         ({"kind": "fraction", "f1": "x", "f2": "1"}, 3, "input error: {}: f1 may not contain ['x']"),
         ({"B": "x'"}, 3, "input error: {}: B may not contain ['xdot']"),
-        ({"kind": "fraction", "f1": "1", "f2": "0"}, 2, "error: {}: f2*x + f3*t + f4 is identically zero"),
+        ({"kind": "fraction", "f1": "1", "f2": "0"}, 3, "input error: {}: f2*x + f3*t + f4 is identically zero"),
     ],
     ids=["parse", "box", "fraction-f1", "B-jets", "denominator"],
 )
@@ -491,6 +491,27 @@ def test_time_dependent_quadratic_damping_is_a_verification_failure(capsys):
     code, _, err = run(capsys, "system", "timedep", "--beta1", "0", "--alpha1", "t")
     assert code == 2
     assert err.startswith("verification failure: a nonzero quadratic-damping coefficient")
+
+
+@pytest.mark.parametrize("compose", ["a0", "power:0", "L - L"])
+def test_composer_without_dynamics_is_an_input_error(capsys, compose):
+    code, out, err = run(capsys, "eom", "--L", "x'^2/2", "--compose", compose)
+    assert code == 3
+    assert out == ""
+    assert "admits no dynamics" in err
+
+
+def test_system_constant_tiny_untied_beta_has_a_witness(capsys):
+    """The case is decided exactly, so its witness is any sampled point
+    where the constraint is nonzero, however small the constraint is."""
+    code, report, _ = run_json(
+        capsys, "system", "constant", "--alpha", "0", "--beta", "0.00001", "--gamma", "0"
+    )
+    assert code == 0
+    system = report["system"]
+    assert system["classification"] == "NoNullLagrangian"
+    assert system["constraints"] == ["-1/40000000000"]
+    assert system["absent_witness"]["lhs"] == -2.5e-11
 
 
 def test_user_composer_is_named_by_the_users_body(capsys):

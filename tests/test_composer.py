@@ -36,6 +36,7 @@ from nullag import (
     to_string,
     total_dt,
 )
+import nullag.domain
 from nullag.composer import CATALOG
 from nullag.construct import FractionSpec, build_nonstandard_null, build_null, harmonic
 from corpus import constant_family, exp_family, tied_family
@@ -234,6 +235,16 @@ def test_composed_eom_keeps_the_range_guards():
 def test_compose_instantiates_opaque_functions():
     composed = compose(Composer.ln(), Lagrangian(parse("f1(t)*x' + 5")))
     assert composed.body == parse("ln(f1(t)*x' + 5)")
+
+
+def test_compose_feasibility_compiles_nothing(monkeypatch):
+    """The range-guard check needs only the sampled rows, so the sampled
+    body is never compiled."""
+    calls = []
+    compile_expr = nullag.domain.compile_expr
+    monkeypatch.setattr(nullag.domain, "compile_expr", lambda *a, **k: calls.append(a) or compile_expr(*a, **k))
+    composed = compose(Composer.ln(), Lagrangian(parse("f1(t)*x' + 5")))
+    assert composed.domain.guards and calls == []
 
 
 @pytest.mark.parametrize(

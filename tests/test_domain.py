@@ -16,6 +16,7 @@ from nullag import (
     sample_points,
     to_string,
 )
+import nullag.domain
 from nullag.domain import instantiation_rounds
 
 
@@ -107,3 +108,15 @@ def test_sample_rows_functions_and_witness():
             "constants": {"a": 0.5},
             "instantiation": {"f1": "t^2"},
         }
+
+
+def test_sample_functions_compile_on_first_use(monkeypatch):
+    calls = []
+    compile_expr = nullag.domain.compile_expr
+    monkeypatch.setattr(nullag.domain, "compile_expr", lambda *a, **k: calls.append(a) or compile_expr(*a, **k))
+    sample = sample_points([parse("x + t"), parse("x*t")], Domain(), 3, random.Random(0))
+    assert calls == []
+    (f, g), again = sample.functions, sample.functions
+    assert again == (f, g) and len(calls) == 2
+    t, x = sample.rows[0]
+    assert (f(t, x), g(t, x)) == (x + t, x * t)

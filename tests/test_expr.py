@@ -33,6 +33,7 @@ from nullag import (
     XDOT,
     ZERO,
     add,
+    bind_constants,
     canonicalize,
     comparison_catalog,
     compile_expr,
@@ -51,7 +52,7 @@ from nullag import (
 )
 
 from nullag.domain import instantiation_rounds
-from nullag.expr import MINUS_ONE, clear_denominators, sort_key
+from nullag.expr import MINUS_ONE, _pysrc, clear_denominators, const, sort_key
 from oracles import (
     Bindings,
     GuardViolation,
@@ -170,13 +171,13 @@ _atoms = st.sampled_from(
 _consts = st.fractions(min_value=-4, max_value=4, max_denominator=6).map(Const)
 
 
-def _trees(depth):
+def _trees(depth, consts=_consts):
     if depth == 0:
-        return st.one_of(_atoms, _consts)
-    sub_tree = _trees(depth - 1)
+        return st.one_of(_atoms, consts)
+    sub_tree = _trees(depth - 1, consts)
     return st.one_of(
         _atoms,
-        _consts,
+        consts,
         st.tuples(sub_tree, sub_tree).map(lambda ab: Sum(ab)),
         st.tuples(sub_tree, sub_tree).map(lambda ab: Product(ab)),
         st.tuples(sub_tree, st.integers(min_value=-2, max_value=3)).map(
@@ -212,6 +213,55 @@ def test_differentiation_linearity(raw1, raw2, a, b, sym):
     combined = diff(add(mul(Const(a), e1), mul(Const(b), e2)), sym)
     separate = add(mul(Const(a), diff(e1, sym)), mul(Const(b), diff(e2, sym)))
     assert combined == separate
+
+
+def _const_values(e):
+    """The value of every Const node in e."""
+    if isinstance(e, Const):
+        return [e.value]
+    if isinstance(e, (Sum, Product)):
+        children = e.terms if isinstance(e, Sum) else e.factors
+    else:
+        children = (e.base,) if isinstance(e, Power) else (e.arg,) if isinstance(e, Apply) else ()
+    return [v for c in children for v in _const_values(c)]
+
+
+_finite = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
+# raw leaves holding every number type a caller may pass
+_raw_consts = st.one_of(st.integers(-4, 4), _finite, _consts.map(lambda c: c.value)).map(Const)
+
+
+@given(_trees(3, _raw_consts), _finite, _finite)
+def test_every_kernel_constant_is_a_fraction(raw, a1, b0):
+    e = _canonical_or_skip(raw)
+    assert all(type(v) is Fraction for v in _const_values(e))
+    try:
+        bound = bind_constants(e, {"a1": a1, "b0": b0})
+    except ZeroDivisionError:
+        assume(False)
+    assert all(type(v) is Fraction for v in _const_values(bound))
+
+
+def test_a_float_enters_as_its_binary_value():
+    assert const(0.1) == Const(Fraction(0.1)) != parse("1/10")
+    assert to_string(mul(0.5, X)) == "1/2*x"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_floats_are_rejected(value):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        const(value)
+    with pytest.raises(ValueError, match="is not a finite number"):
+        bind_constants(parse("a*x"), {"a": value})
+
+
+def test_compiled_constants_are_their_nearest_floats():
+    """Generated code holds each constant as its nearest float; one beyond
+    float range stays exact and overflows where it is evaluated."""
+    assert _pysrc(parse("x/3 + 2")) == "((2.0) + ((0.3333333333333333) * x))"
+    huge = compile_expr(mul(Const(Fraction(10**400)), X), ("x",))
+    with pytest.raises(OverflowError):
+        huge(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,17 @@ def test_classify_linear_damping_without_spring_is_inadmissible():
     assert case.classification is Classification.NO_NULL_LAGRANGIAN
 
 
+def test_float_coefficients_tie_only_when_their_binary_values_do():
+    # 0.3^2/4 == 0.0225 in float arithmetic, but not for the binary values
+    case = classify_constant(0, 0.3, 0.0225)
+    assert case.classification is Classification.NO_NULL_LAGRANGIAN
+    assert case.absent_witness is not None
+    case = classify_constant(0, 0.5, 0.0625)
+    assert case.classification is Classification.DAMPED_OSCILLATOR_TIED
+
+
 def test_classify_symbolic_tied_case():
-    case = classify_constant(0, "b0", parse("b0^2/4"))
+    case = classify_constant(0, parse("b0"), parse("b0^2/4"))
     assert case.classification is Classification.DAMPED_OSCILLATOR_TIED
     assert case.B == parse("B0*exp(b0*t/2)")
     assert case.C == parse("1/2*B0*b0*exp(b0*t/2)")
@@ -111,7 +120,7 @@ def test_gamma_from_beta_rejects_jets():
 
 
 def test_timedep_constant_beta_reproduces_constant_classification():
-    tied = classify_constant(0, "b0", parse("b0^2/4"))
+    tied = classify_constant(0, parse("b0"), parse("b0^2/4"))
     timedep = build_timedep(parse("b0"))
     assert timedep.B == tied.B
     assert timedep.C == tied.C
@@ -218,7 +227,7 @@ def test_solve_gamma_constraint_round_trip():
 
 
 def test_build_displacement_reduces_to_tied_case():
-    tied = classify_constant(0, "b0", parse("b0^2/4"))
+    tied = classify_constant(0, parse("b0"), parse("b0^2/4"))
     disp = build_displacement(ZERO, parse("b0"), parse("b0^2/4"))
     assert disp.B == tied.B
     assert disp.C == tied.C
