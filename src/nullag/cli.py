@@ -110,7 +110,7 @@ def _number(text: str) -> ex.Const:
     """A numeric argument as an exact rational: 0.2 is 1/5; 1e-3, .5 and 1/4
     are read too."""
     try:
-        return ex.Const(Fraction(text))
+        return ex.const(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"{text!r} divides by zero") from None
 

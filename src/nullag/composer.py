@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import expr as ex
 from .domain import (
@@ -38,7 +37,6 @@ from .domain import (
 )
 from .equivalence import EPS_EQ, N_EQ, Verdict, equivalent
 from .expr import (
-    Const,
     ConstSym,
     Expr,
     Sum,
@@ -320,7 +318,7 @@ def solve_leading(eom: EquationOfMotion) -> Expr:
     rest = sub(cleared, mul(leading, XDDOT))
     if ex.depends_on(rest, XDDOT):
         raise LeadingCoefficientVanishes("residual is not linear in x''")
-    return mul(Const(Fraction(-1)), rest, pow_(leading, -1))
+    return mul(ex.const(-1), rest, pow_(leading, -1))
 
 
 def permissibility_check(F: Composer, pair: NullPair, *, seed: int = 0) -> str:

@@ -107,14 +107,14 @@ def antiderivative(e: Expr, var: JetSym) -> Expr:
 def _antiderivative_term(term: Expr, var: JetSym) -> Expr:
     coeff, factors = as_coeff_factors(term)
     free: list[Expr] = []
-    dep: list[tuple[Expr, Fraction]] = []
+    dep: list[tuple[Expr, int | Fraction]] = []
     for f in factors:
         base, q = ex._base_exponent(f)
         if _varfree(base, var):
             free.append(f)
         else:
             dep.append((base, q))
-    rest = mul(ex.Const(coeff), *free)
+    rest = mul(ex.const(coeff), *free)
 
     def unsupported() -> AntiderivativeUnsupported:
         return AntiderivativeUnsupported(
@@ -133,7 +133,7 @@ def _antiderivative_term(term: Expr, var: JetSym) -> Expr:
                 return mul(rest, FuncSym(base.name, base.order - 1))
             raise unsupported()
         if isinstance(base, Apply) and q == 1:
-            return mul(rest, _apply_antiderivative(base, var, Fraction(0)))
+            return mul(rest, _apply_antiderivative(base, var, 0))
         lin = _linear_parts(base, var) if isinstance(base, (Sum,)) else None
         if lin is not None:
             return mul(rest, _linear_power_antiderivative(base, q, lin[0]))
@@ -151,13 +151,13 @@ def _antiderivative_term(term: Expr, var: JetSym) -> Expr:
     raise unsupported()
 
 
-def _power_of_var(var: JetSym, q: Fraction) -> Expr:
+def _power_of_var(var: JetSym, q: int | Fraction) -> Expr:
     if q == -1:
         return apply_fn("ln", var)
-    return mul(ex.Const(Fraction(1, 1) / (q + 1)), pow_(var, q + 1))
+    return mul(ex.const(Fraction(1, q + 1)), pow_(var, q + 1))
 
 
-def _apply_antiderivative(node: Apply, var: JetSym, extra_power: Fraction) -> Expr:
+def _apply_antiderivative(node: Apply, var: JetSym, extra_power: int | Fraction) -> Expr:
     u = node.arg
     a = diff(u, var)
     if node.func == "exp":
@@ -165,7 +165,7 @@ def _apply_antiderivative(node: Apply, var: JetSym, extra_power: Fraction) -> Ex
             return mul(node, pow_(a, -1))
         s = _log_coefficient(u, var)
         if s is not None:
-            denom = add(s, ex.Const(extra_power + 1))
+            denom = add(s, ex.const(extra_power + 1))
             if ex.proven_zero(denom):
                 raise AntiderivativeUnsupported(
                     f"exponent of {to_string(node)} makes the integrand a reciprocal of {var.name}"
@@ -174,28 +174,28 @@ def _apply_antiderivative(node: Apply, var: JetSym, extra_power: Fraction) -> Ex
     elif node.func in ("sin", "cos") and extra_power == 0:
         if _varfree(a, var) and a != ZERO:
             if node.func == "sin":
-                return mul(ex.Const(Fraction(-1)), apply_fn("cos", u), pow_(a, -1))
+                return mul(ex.const(-1), apply_fn("cos", u), pow_(a, -1))
             return mul(apply_fn("sin", u), pow_(a, -1))
     raise AntiderivativeUnsupported(
         f"cannot antidifferentiate {to_string(node)} with respect to {var.name}"
     )
 
 
-def _linear_power_antiderivative(base: Expr, q: Fraction, a: Expr) -> Expr:
+def _linear_power_antiderivative(base: Expr, q: int | Fraction, a: Expr) -> Expr:
     if q == -1:
         return mul(apply_fn("ln", base), pow_(a, -1))
-    return mul(ex.Const(Fraction(1, 1) / (q + 1)), pow_(base, q + 1), pow_(a, -1))
+    return mul(ex.const(Fraction(1, q + 1)), pow_(base, q + 1), pow_(a, -1))
 
 
 def _monomial_times_linear_power(
-    var: JetSym, m: int, base: Expr, q: Fraction, a: Expr, rest: Expr
+    var: JetSym, m: int, base: Expr, q: int | Fraction, a: Expr, rest: Expr
 ) -> Expr:
     # var^m = a^-m * (base - rest)^m, expanded binomially into powers of base
     parts = []
     for j in range(m + 1):
         coeff = mul(
-            ex.Const(Fraction(math.comb(m, j))),
-            pow_(mul(ex.Const(Fraction(-1)), rest), m - j),
+            ex.const(math.comb(m, j)),
+            pow_(mul(ex.const(-1), rest), m - j),
         )
         parts.append(mul(coeff, _linear_power_antiderivative(base, q + j, a)))
     return mul(pow_(a, -m), add(*parts))
@@ -233,7 +233,7 @@ def weighted_B(e: Expr, n: int) -> Expr:
     parts = []
     d = e
     for i in range(n + 1):
-        parts.append(mul(ex.Const(Fraction(math.comb(n, n - i))), d))
+        parts.append(mul(ex.const(math.comb(n, n - i)), d))
         if i < n:
             d = diff(d, X)
     return add(*parts)

@@ -13,7 +13,11 @@ in the same canonical form.
 
 Every constant is an exact rational: _coerce is the one place a number
 enters the kernel, and it reads a float as the binary rational it holds.
-Floats appear only in the Python source that compile_expr generates.
+A coefficient or exponent is held as an int when it is integral, else as a
+Fraction (see _num), so whole-number arithmetic never pays for Fraction;
+int and Fraction compare and hash equal, and print and convert to float
+alike.  Floats appear only in the Python source that compile_expr
+generates.
 
 add and mul sort their inputs into buckets (monomials in add, bases in mul)
 and rebuild only the buckets where something merged; a term or factor that
@@ -107,9 +111,10 @@ class Expr:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Const(Expr):
-    """Exact rational constant; build it through _coerce (or const)."""
+    """Exact rational constant, an int when integral; build it through
+    _coerce (or const)."""
 
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -155,7 +160,7 @@ class Product(Expr):
 @dataclass(frozen=True, slots=True, repr=False)
 class Power(Expr):
     base: Expr
-    exponent: Fraction
+    exponent: int | Fraction
 
 
 X = JetSym("x")
@@ -164,15 +169,16 @@ XDDOT = JetSym("xddot")
 XDDDOT = JetSym("xdddot")
 T = JetSym("t")
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_FM1 = Fraction(-1)
-
-ZERO = Const(_F0)
-ONE = Const(_F1)
-MINUS_ONE = Const(_FM1)
+ZERO = Const(0)
+ONE = Const(1)
+MINUS_ONE = Const(-1)
 
 _JETS = {s.name: s for s in (X, XDOT, XDDOT, XDDDOT, T)}
+
+
+def _num(q: int | Fraction) -> int | Fraction:
+    """q as the kernel holds it: an int when integral, else the Fraction."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _coerce(v) -> Expr:
@@ -183,10 +189,14 @@ def _coerce(v) -> Expr:
         return v
     if isinstance(v, bool):
         raise TypeError("bool is not a valid expression constant")
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ValueError(f"{v!r} is not a finite number")
-    if isinstance(v, (int, float, Fraction)):
-        return Const(Fraction(v))
+    if isinstance(v, int):
+        return Const(v)
+    if isinstance(v, Fraction):
+        return Const(_num(v))
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"{v!r} is not a finite number")
+        return Const(_num(Fraction(v)))
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
@@ -230,7 +240,7 @@ def _sort_key(e: Expr):
     raise TypeError(f"unknown node {e!r}")
 
 
-def as_coeff_factors(e: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
+def as_coeff_factors(e: Expr) -> tuple[int | Fraction, tuple[Expr, ...]]:
     """Split a canonical non-Sum term into (coefficient, monomial factors)."""
     if isinstance(e, Const):
         return e.value, ()
@@ -238,13 +248,13 @@ def as_coeff_factors(e: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
         fs = e.factors
         if isinstance(fs[0], Const):
             return fs[0].value, fs[1:]
-        return _F1, fs
-    return _F1, (e,)
+        return 1, fs
+    return 1, (e,)
 
 
-def _base_exponent(f: Expr) -> tuple[Expr, Fraction]:
+def _base_exponent(f: Expr) -> tuple[Expr, int | Fraction]:
     """A canonical factor as (base, exponent): u^q is (u, q), any other is (f, 1)."""
-    return (f.base, f.exponent) if isinstance(f, Power) else (f, _F1)
+    return (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
 
 
 def _term_from(coeff, factors: tuple[Expr, ...]) -> Expr:
@@ -259,7 +269,7 @@ def add(*args) -> Expr:
     # Each bucket is [coefficient, monomial factors, the term itself while
     # nothing has merged into it]; a lone term is kept, not rebuilt.
     buckets: dict[tuple, list] = {}
-    const_acc = _F0
+    const_acc = 0
     stack = [_coerce(a) for a in reversed(args)]
     while stack:
         a = stack.pop()
@@ -268,7 +278,7 @@ def add(*args) -> Expr:
             continue
         coeff, factors = as_coeff_factors(a)
         if not factors:
-            const_acc = const_acc + coeff
+            const_acc = _num(const_acc + coeff)
             continue
         # the term's cached key, without the key of its coefficient
         key = sort_key(a)[1][-len(factors) :] if isinstance(a, Product) else (sort_key(a),)
@@ -276,7 +286,7 @@ def add(*args) -> Expr:
         if entry is None:
             buckets[key] = [coeff, factors, a]
         else:
-            entry[0] = entry[0] + coeff
+            entry[0] = _num(entry[0] + coeff)
             entry[2] = None
     terms = [t if t is not None else _term_from(c, fs) for c, fs, t in buckets.values() if c != 0]
     if const_acc != 0:
@@ -292,13 +302,13 @@ def _is_simple_factor(e: Expr) -> bool:
 
 
 def mul(*args) -> Expr:
-    coeff = _F1
+    coeff = 1
     flat: list[Expr] = []
     stack = [_coerce(a) for a in reversed(args)]
     while stack:
         a = stack.pop()
         if isinstance(a, Const):
-            coeff = coeff * a.value
+            coeff = _num(coeff * a.value)
         elif isinstance(a, Product):
             stack.extend(reversed(a.factors))
         else:
@@ -334,7 +344,7 @@ def mul(*args) -> Expr:
     elif exps:
         combined = apply_fn("exp", add(*(f.arg for f in exps)))
         comb_coeff, comb_factors = as_coeff_factors(combined)
-        coeff = coeff * comb_coeff
+        coeff = _num(coeff * comb_coeff)
         for f in comb_factors:
             pow_into(f)
     pieces: list[Expr] = []
@@ -347,7 +357,8 @@ def mul(*args) -> Expr:
         if q == 0:
             continue
         if isinstance(base, Const) and q.denominator == 1:
-            coeff = coeff * base.value ** q.numerator
+            # int ** negative int is a float: raise the exact rational
+            coeff = _num(coeff * Fraction(base.value) ** q.numerator)
             continue
         piece = pow_(base, q)
         if not _is_simple_factor(piece):
@@ -367,7 +378,9 @@ def mul(*args) -> Expr:
 
 def pow_(base, exponent: Number) -> Expr:
     b = _coerce(base)
-    q = exponent if isinstance(exponent, Fraction) else Fraction(exponent)
+    # every exponent is normalized here, so the exponent sums that feed pow_
+    # need no _num of their own
+    q = _num(exponent if isinstance(exponent, (int, Fraction)) else Fraction(exponent))
     if q == 0:
         return ONE
     if q == 1:
@@ -380,7 +393,7 @@ def pow_(base, exponent: Number) -> Expr:
         if b.value == 1:
             return ONE
         if q.denominator == 1:
-            return Const(b.value ** q.numerator)
+            return Const(_num(Fraction(b.value) ** q.numerator))
         return Power(b, q)
     if isinstance(b, Apply) and b.func == "exp":
         return apply_fn("exp", mul(Const(q), b.arg))
@@ -402,7 +415,7 @@ def pow_(base, exponent: Number) -> Expr:
 
 
 def div(a, b) -> Expr:
-    return mul(_coerce(a), pow_(_coerce(b), _FM1))
+    return mul(_coerce(a), pow_(_coerce(b), -1))
 
 
 def sub(a, b) -> Expr:
@@ -511,14 +524,14 @@ def _diff(e: Expr, sym: Expr) -> Expr:
         if e.func == "exp":
             return mul(e, d)
         if e.func == "ln":
-            return mul(d, pow_(e.arg, _FM1))
+            return mul(d, pow_(e.arg, -1))
         if e.func == "sin":
             return mul(apply_fn("cos", e.arg), d)
         if e.func == "cos":
             return mul(MINUS_ONE, apply_fn("sin", e.arg), d)
         if e.func == "abs":
             # d|u| = u * u' / |u|, valid away from u = 0
-            return mul(e.arg, pow_(e, _FM1), d)
+            return mul(e.arg, pow_(e, -1), d)
     raise TypeError(f"cannot differentiate {e!r}")
 
 
@@ -814,7 +827,7 @@ def _print_base(b: Expr) -> str:
     return "(" + to_string(b) + ")"
 
 
-def _print_pow(base: Expr, q: Fraction) -> str:
+def _print_pow(base: Expr, q: int | Fraction) -> str:
     s = _print_base(base)
     if q == 1:
         return s

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .expr import (
     APPLY_FUNCS,
-    Const,
     ConstSym,
     Expr,
     FuncSym,
@@ -30,6 +29,7 @@ from .expr import (
     T,
     add,
     apply_fn,
+    const,
     div,
     mul,
     pow_,
@@ -195,7 +195,7 @@ class _Parser:
     def parse_base(self) -> Expr:
         tok = self.next()
         if tok.kind == "NUMBER":
-            return Const(Fraction(tok.text))
+            return const(Fraction(tok.text))
         if tok.kind == "OP" and tok.text == "(":
             e = self.parse_expr()
             self.expect_op(")")

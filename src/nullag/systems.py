@@ -29,7 +29,6 @@ from .construct import AntiderivativeUnsupported, antiderivative
 from .domain import DEFAULT_DOMAIN, Domain, Guard
 from .equivalence import Verdict, equivalent, vanishes
 from .expr import (
-    Const,
     ConstSym,
     Expr,
     T,
@@ -147,8 +146,8 @@ def classify_constant(alpha0, beta0, gamma0, *, seed: int = 0) -> SystemCase:
     """
     alpha0, beta0, gamma0 = _inputs(set(), alpha0=alpha0, beta0=beta0, gamma0=gamma0)
     constraint = sub(
-        mul(add(Const(Fraction(1)), mul(alpha0, X)), gamma0),
-        mul(Const(Fraction(1, 4)), pow_(beta0, 2)),
+        mul(add(ex.const(1), mul(alpha0, X)), gamma0),
+        mul(ex.const(Fraction(1, 4)), pow_(beta0, 2)),
     )
     common = dict(alpha=alpha0, beta=beta0, gamma=gamma0, constraints=(constraint,))
 
@@ -156,7 +155,7 @@ def classify_constant(alpha0, beta0, gamma0, *, seed: int = 0) -> SystemCase:
         classification, B, C = Classification.INERTIA, B0, ZERO
     elif _is_zero(alpha0) and not _is_zero(beta0) and ex.proven_zero(constraint):
         classification = Classification.DAMPED_OSCILLATOR_TIED
-        E = apply_fn("exp", mul(beta0, T, Const(Fraction(1, 2))))
+        E = apply_fn("exp", mul(beta0, T, ex.const(Fraction(1, 2))))
         B, C = mul(B0, E), mul(2, B0, gamma0, pow_(beta0, -1), E)
     elif not _is_zero(alpha0) and _is_zero(beta0) and _is_zero(gamma0):
         classification = Classification.QUADRATIC_DAMPING
@@ -181,7 +180,7 @@ def gamma_from_beta(beta: Expr) -> Expr:
     gamma = beta'/2 + beta^2/4 (unique up to the integration-constant
     convention, which is fixed to zero)."""
     (beta,) = _inputs({"t"}, beta=beta)
-    return add(mul(Const(Fraction(1, 2)), diff(beta, T)), mul(Const(Fraction(1, 4)), pow_(beta, 2)))
+    return add(mul(ex.const(Fraction(1, 2)), diff(beta, T)), mul(ex.const(Fraction(1, 4)), pow_(beta, 2)))
 
 
 def build_timedep(
@@ -221,9 +220,9 @@ def build_timedep(
             raise ConstraintViolated(
                 f"gamma1 must equal beta1'/2 + beta1^2/4 = {to_string(tied)}; witness {rep.witness}"
             )
-    I_beta = mul(Const(Fraction(1, 2)), antiderivative(beta1, T))
+    I_beta = mul(ex.const(Fraction(1, 2)), antiderivative(beta1, T))
     B = mul(B0, apply_fn("exp", I_beta))
-    C = mul(Const(Fraction(1, 2)), beta1, B)
+    C = mul(ex.const(Fraction(1, 2)), beta1, B)
     return _admissible(
         Classification.TIME_DEPENDENT_OSCILLATOR, B, C, domain, seed,
         alpha=ZERO, beta=beta1, gamma=gamma1, constraints=(sub(gamma1, tied),),
@@ -240,7 +239,7 @@ def solve_gamma_displacement(alpha2, beta0, ctilde=ZERO) -> Expr:
     I_alpha = antiderivative(alpha2, X)
     E = apply_fn("exp", I_alpha)
     forced = (
-        mul(Const(Fraction(1, 4)), pow_(beta0, 2), antiderivative(E, X))
+        mul(ex.const(Fraction(1, 4)), pow_(beta0, 2), antiderivative(E, X))
         if not _is_zero(beta0)
         else ZERO
     )
@@ -268,8 +267,8 @@ def build_displacement(
     if gamma2 is None:
         gamma2 = solve_gamma_displacement(alpha2, beta0, ctilde)
     constraint = sub(
-        add(mul(X, diff(gamma2, X)), mul(gamma2, add(Const(Fraction(1)), mul(alpha2, X)))),
-        mul(Const(Fraction(1, 4)), pow_(beta0, 2)),
+        add(mul(X, diff(gamma2, X)), mul(gamma2, add(ex.const(1), mul(alpha2, X)))),
+        mul(ex.const(Fraction(1, 4)), pow_(beta0, 2)),
     )
     rep = vanishes(constraint, domain, seed=seed)
     if rep.verdict is Verdict.DISTINCT:
@@ -278,7 +277,7 @@ def build_displacement(
         )
     I_alpha = antiderivative(alpha2, X)
     if not _is_zero(beta0):
-        B = mul(B0, apply_fn("exp", add(I_alpha, mul(Const(Fraction(1, 2)), beta0, T))))
+        B = mul(B0, apply_fn("exp", add(I_alpha, mul(ex.const(Fraction(1, 2)), beta0, T))))
         C = mul(2, gamma2, pow_(beta0, -1), B)
     else:
         E = apply_fn("exp", I_alpha)

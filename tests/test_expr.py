@@ -215,15 +215,21 @@ def test_differentiation_linearity(raw1, raw2, a, b, sym):
     assert combined == separate
 
 
-def _const_values(e):
-    """The value of every Const node in e."""
+def _kernel_numbers(e):
+    """The value of every Const node and the exponent of every Power node in e."""
     if isinstance(e, Const):
         return [e.value]
     if isinstance(e, (Sum, Product)):
         children = e.terms if isinstance(e, Sum) else e.factors
     else:
         children = (e.base,) if isinstance(e, Power) else (e.arg,) if isinstance(e, Apply) else ()
-    return [v for c in children for v in _const_values(c)]
+    own = [e.exponent] if isinstance(e, Power) else []
+    return own + [v for c in children for v in _kernel_numbers(c)]
+
+
+def _held_as_kernel_number(v):
+    """An int (never a bool) when integral, else a non-integral Fraction."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 _finite = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
@@ -231,15 +237,42 @@ _finite = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=F
 _raw_consts = st.one_of(st.integers(-4, 4), _finite, _consts.map(lambda c: c.value)).map(Const)
 
 
-@given(_trees(3, _raw_consts), _finite, _finite)
-def test_every_kernel_constant_is_a_fraction(raw, a1, b0):
+@given(_trees(3, _raw_consts), _finite, _finite, st.sampled_from([X, XDOT, T]))
+def test_every_kernel_number_is_an_int_when_integral(raw, a1, b0, sym):
     e = _canonical_or_skip(raw)
-    assert all(type(v) is Fraction for v in _const_values(e))
     try:
         bound = bind_constants(e, {"a1": a1, "b0": b0})
     except ZeroDivisionError:
         assume(False)
-    assert all(type(v) is Fraction for v in _const_values(bound))
+    derived = [f(t) for t in (e, bound) for f in (lambda u: diff(u, sym), total_dt, clear_denominators)]
+    for tree in [e, bound, *derived]:
+        assert all(_held_as_kernel_number(v) for v in _kernel_numbers(tree)), tree
+
+
+_HALF, _THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "got, expected",
+    [
+        # int ** negative int is a float; the kernel raises the exact rational
+        (lambda: pow_(const(2), -2), Const(Fraction(1, 4))),
+        (lambda: parse("(2*x)^(-2)"), mul(Fraction(1, 4), pow_(X, -2))),
+        (lambda: mul(const(4), pow_(const(2), -3)), Const(_HALF)),
+        (lambda: mul(pow_(const(2), _HALF), pow_(const(2), Fraction(-5, 2))), Const(Fraction(1, 4))),
+        # rationals that merge into a whole number become an int
+        (lambda: add(const(_HALF), const(_HALF)), Const(1)),
+        (lambda: add(mul(_HALF, X), mul(_THREE_HALVES, X)), mul(2, X)),
+        (lambda: mul(_HALF, X, 4), mul(2, X)),
+        (lambda: mul(pow_(X, _HALF), pow_(X, _THREE_HALVES)), pow_(X, 2)),
+        (lambda: mul(pow_(const(2), _HALF), pow_(const(2), _THREE_HALVES)), Const(4)),
+        (lambda: clear_denominators(parse("x^(1/2) + x^(-3/2)")), parse("x^2 + 1")),
+    ],
+)
+def test_constructed_numbers_are_exact_and_int_when_integral(got, expected):
+    e = got()
+    assert e == expected
+    assert all(_held_as_kernel_number(v) for v in _kernel_numbers(e)), e
 
 
 def test_a_float_enters_as_its_binary_value():
@@ -259,9 +292,10 @@ def test_compiled_constants_are_their_nearest_floats():
     """Generated code holds each constant as its nearest float; one beyond
     float range stays exact and overflows where it is evaluated."""
     assert _pysrc(parse("x/3 + 2")) == "((2.0) + ((0.3333333333333333) * x))"
-    huge = compile_expr(mul(Const(Fraction(10**400)), X), ("x",))
+    huge = mul(const(10**400), X)
+    assert _pysrc(huge) == f"(({10**400}) * x)"
     with pytest.raises(OverflowError):
-        huge(1.0)
+        compile_expr(huge, ("x",))(1.0)
 
 
 # ---------------------------------------------------------------------------

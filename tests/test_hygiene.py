@@ -74,3 +74,29 @@ def test_assertions_are_found():
         "raise AssertionError (line 2)",
         "raise AssertionError (line 3)",
     ]
+
+
+def _const_calls(source: str) -> list[str]:
+    """Direct Const(...) calls.  Outside expr.py a number enters the kernel
+    through expr.const, which holds it as an int when integral, else as a
+    Fraction; a Const built by hand could hold any type."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "Const":
+                found.append(f"Const(...) (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "expr.py")
+)
+def test_numbers_enter_the_kernel_through_const(module):
+    assert _const_calls((PACKAGE / module).read_text()) == []
+
+
+def test_const_calls_are_found():
+    source = "Const(1)\nex.Const(2)\nisinstance(c, Const)\nconst(3)\n"
+    assert _const_calls(source) == ["Const(...) (line 1)", "Const(...) (line 2)"]

@@ -66,11 +66,17 @@ def _opaque_orders(expr):
     return expr.replace(lambda a: isinstance(a, sp.Derivative), merge)
 
 
+def _rational(v):
+    """The exact SymPy rational of a kernel number (an int or a Fraction)."""
+    if type(v) not in (int, Fraction):
+        raise TypeError(f"{v!r} is not an exact kernel number")
+    return sp.Rational(v.numerator, v.denominator)
+
+
 def to_sympy(e):
     """The SymPy expression of any kernel tree, canonical or not."""
     if isinstance(e, Const):
-        v = e.value
-        return sp.Rational(v.numerator, v.denominator) if isinstance(v, Fraction) else sp.Float(v)
+        return _rational(e.value)
     if isinstance(e, JetSym):
         return JETS[e.name]
     if isinstance(e, ConstSym):
@@ -84,8 +90,7 @@ def to_sympy(e):
     if isinstance(e, Product):
         return sp.Mul(*(to_sympy(f) for f in e.factors))
     if isinstance(e, Power):
-        q = e.exponent
-        return sp.Pow(to_sympy(e.base), sp.Rational(q.numerator, q.denominator))
+        return sp.Pow(to_sympy(e.base), _rational(e.exponent))
     raise TypeError(f"no SymPy form for {e!r}")
 
 
