@@ -27,6 +27,12 @@ nothing else: clear_denominators merges each term's exponents with the
 required powers itself and hands mul canonical pow_ results, never raw
 Power nodes.
 
+The same rule spares other rebuilds.  diff and total_dt are one derivation
+walker, _derive, that differ only in what an atom maps to, so total_dt is
+one walk of the tree, not four partials added up.  Negation (sub, unary
+minus) flips the sign of each term's coefficient, which leaves the term
+canonical, instead of multiplying every term by -1.
+
 All values are immutable; an operation shares the nodes it keeps.  A node's
 ordering key (sort_key) is computed the first time it is asked for and
 kept in the node's _key slot, so a node must never be mutated.
@@ -100,7 +106,7 @@ class Expr:
         return pow_(self, exponent)
 
     def __neg__(self):
-        return mul(MINUS_ONE, self)
+        return neg(self)
 
     def __str__(self):
         return to_string(self)
@@ -361,7 +367,9 @@ def mul(*args) -> Expr:
             coeff = _num(coeff * Fraction(base.value) ** q.numerator)
             continue
         piece = pow_(base, q)
-        if not _is_simple_factor(piece):
+        # a power of a power can land on another base ((x^-2)^-1 is x^2),
+        # which may have a bucket of its own
+        if not _is_simple_factor(piece) or sort_key(_base_exponent(piece)[0]) != key:
             needs_recurse = True
         pieces.append(piece)
     if needs_recurse:
@@ -418,8 +426,19 @@ def div(a, b) -> Expr:
     return mul(_coerce(a), pow_(_coerce(b), -1))
 
 
+def _negated_terms(e: Expr) -> list[Expr]:
+    """The terms of -e.  A canonical term stays canonical when only the sign
+    of its coefficient changes, so no term is rebuilt through mul."""
+    terms = e.terms if isinstance(e, Sum) else (e,)
+    return [_term_from(-c, fs) for c, fs in map(as_coeff_factors, terms)]
+
+
+def neg(e) -> Expr:
+    return add(*_negated_terms(_coerce(e)))
+
+
 def sub(a, b) -> Expr:
-    return add(_coerce(a), mul(MINUS_ONE, _coerce(b)))
+    return add(_coerce(a), *_negated_terms(_coerce(b)))
 
 
 def apply_fn(func: str, arg) -> Expr:
@@ -490,35 +509,69 @@ def diff(e: Expr, sym: Expr) -> Expr:
     """
     if not isinstance(sym, (JetSym, ConstSym)):
         raise TypeError("differentiation target must be a jet symbol, t, or named constant")
-    return _diff(e, sym)
+    by_t = sym == T
+
+    def atom(a: Expr) -> Expr:
+        if a == sym:
+            return ONE
+        if by_t and isinstance(a, FuncSym):
+            return FuncSym(a.name, a.order + 1)
+        return ZERO
+
+    return _derive(e, atom)
 
 
-def _diff(e: Expr, sym: Expr) -> Expr:
+_PROLONGED = {"t": ONE, "x": XDOT, "xdot": XDDOT, "xddot": XDDDOT}
+
+
+def _prolong(a: Expr) -> Expr:
+    """The total time derivative of an atom: t to 1, each jet to the next
+    one, f(t) one order up, a named constant to 0."""
+    if isinstance(a, JetSym):
+        d = _PROLONGED.get(a.name)
+        if d is None:
+            raise JetOrderError("total_dt input may contain jets up to x'' only")
+        return d
+    if isinstance(a, FuncSym):
+        return FuncSym(a.name, a.order + 1)
+    return ZERO
+
+
+def total_dt(e: Expr) -> Expr:
+    """Total time derivative along the jet prolongation.
+
+    Equals de/dt + xdot*de/dx + xddot*de/dxdot + xdddot*de/dxddot, with
+    opaque-function orders raised, computed in one walk of e.  Input may
+    contain jets up to xddot.
+    """
+    return _derive(e, _prolong)
+
+
+def _derive(e: Expr, atom: Callable[[Expr], Expr]) -> Expr:
+    """The derivation that maps each atom (JetSym, ConstSym, FuncSym) through
+    atom, extended to every node by the sum, product and chain rules.  Every
+    atom of e is visited."""
+    if isinstance(e, (JetSym, ConstSym, FuncSym)):
+        return atom(e)
     if isinstance(e, Const):
         return ZERO
-    if isinstance(e, (JetSym, ConstSym)):
-        return ONE if e == sym else ZERO
-    if isinstance(e, FuncSym):
-        if sym == T:
-            return FuncSym(e.name, e.order + 1)
-        return ZERO
     if isinstance(e, Sum):
-        return add(*(_diff(t, sym) for t in e.terms))
+        return add(*(_derive(t, atom) for t in e.terms))
     if isinstance(e, Product):
         parts = []
         for i, f in enumerate(e.factors):
-            d = _diff(f, sym)
+            d = _derive(f, atom)
             if d == ZERO:
                 continue
             parts.append(mul(*e.factors[:i], d, *e.factors[i + 1 :]))
         return add(*parts) if parts else ZERO
     if isinstance(e, Power):
-        d = _diff(e.base, sym)
+        d = _derive(e.base, atom)
         if d == ZERO:
             return ZERO
         return mul(Const(e.exponent), pow_(e.base, e.exponent - 1), d)
     if isinstance(e, Apply):
-        d = _diff(e.arg, sym)
+        d = _derive(e.arg, atom)
         if d == ZERO:
             return ZERO
         if e.func == "exp":
@@ -533,22 +586,6 @@ def _diff(e: Expr, sym: Expr) -> Expr:
             # d|u| = u * u' / |u|, valid away from u = 0
             return mul(e.arg, pow_(e, -1), d)
     raise TypeError(f"cannot differentiate {e!r}")
-
-
-def total_dt(e: Expr) -> Expr:
-    """Total time derivative along the jet prolongation.
-
-    Returns de/dt + xdot*de/dx + xddot*de/dxdot + xdddot*de/dxddot, with
-    opaque-function orders raised.  Input may contain jets up to xddot.
-    """
-    if XDDDOT in free_atoms(e):
-        raise JetOrderError("total_dt input may contain jets up to x'' only")
-    return add(
-        _diff(e, T),
-        mul(XDOT, _diff(e, X)),
-        mul(XDDOT, _diff(e, XDOT)),
-        mul(XDDDOT, _diff(e, XDDOT)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +681,7 @@ def instantiate(e: Expr, funcs: Mapping[str, Expr] | None) -> Expr:
     def derived(name: str, order: int) -> Expr:
         got = cache.get((name, order))
         if got is None:
-            got = funcs[name] if order == 0 else _diff(derived(name, order - 1), T)
+            got = funcs[name] if order == 0 else diff(derived(name, order - 1), T)
             cache[(name, order)] = got
         return got
 

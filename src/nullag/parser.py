@@ -32,6 +32,7 @@ from .expr import (
     const,
     div,
     mul,
+    neg,
     pow_,
     sub,
 )
@@ -139,7 +140,7 @@ class _Parser:
             negate = self.next().text == "-"
         e = self.parse_term()
         if negate:
-            e = mul(-1, e)
+            e = neg(e)
         while self.at_op("+", "-"):
             op = self.next().text
             rhs = self.parse_term()

@@ -119,22 +119,32 @@ class NullPair:
     ) -> "NullPair":
         for name, e, allowed in (("B", B, {"x", "t"}), ("C", C, {"x", "t"}), ("f", f, {"t"})):
             require_support(e, allowed, name)
+        pair = cls(B, C, f, domain)
         # the Euler-Lagrange residual of B*xdot + C*x + f is the null-condition
         # residual, so this one verdict certifies both
-        report = is_null(cls(B, C, f, domain).assembled(), seed=seed)
+        report = is_null(pair.assembled(), seed=seed)
         if not report:
             raise NullCertificationFailed(
                 f"null condition violated: dB/dt - d(xC)/dx = {to_string(report.residual)}; "
                 f"witness {report.witness}"
             )
-        return cls(B, C, f, domain, certificate=report)
+        # set on the pair whose assembled Lagrangian the report judged
+        object.__setattr__(pair, "certificate", report)
+        return pair
 
     @property
     def is_certified(self) -> bool:
         return self.certificate is not None
 
     def assembled(self) -> Lagrangian:
-        return Lagrangian(add(mul(self.B, XDOT), mul(self.C, X), self.f), self.domain)
+        """B*xdot + C*x + f as a Lagrangian, built on the first call and kept
+        outside the fields, so a certified pair returns the one its
+        certificate judged."""
+        L = self.__dict__.get("_lagrangian")
+        if L is None:
+            L = Lagrangian(add(mul(self.B, XDOT), mul(self.C, X), self.f), self.domain)
+            object.__setattr__(self, "_lagrangian", L)
+        return L
 
     def to_dict(self) -> dict:
         return {

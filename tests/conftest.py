@@ -1,5 +1,18 @@
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+# hypothesis imports this module to report a failing example, and its libcst
+# import warns (mypy_extensions.TypedDict is deprecated); under -W error that
+# warning aborts the session instead of reporting the failure.  Import it
+# here with that warning ignored; warnings from nullag stay errors.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile(
     "fast",

@@ -340,10 +340,13 @@ def reference_mul(*args):
         if q == 0:
             continue
         if isinstance(base, Const) and q.denominator == 1:
-            coeff = coeff * base.value ** q.numerator
+            # int ** negative int is a float: raise the exact rational
+            coeff = coeff * Fraction(base.value) ** q.numerator
             continue
         piece = pow_(base, q)
-        if isinstance(piece, (Sum, Product, Const)):
+        # (x^-2)^-1 is x^2: a piece on another base may merge with its bucket
+        piece_base = piece.base if isinstance(piece, Power) else piece
+        if isinstance(piece, (Sum, Product, Const)) or sort_key(piece_base) != key:
             needs_recurse = True
         pieces.append(piece)
     if needs_recurse:

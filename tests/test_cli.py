@@ -107,6 +107,15 @@ def test_eom_from_lagrangian(capsys):
     assert report["eom"]["explicit"] == "x'' = -a0*x'^2"
 
 
+def test_eom_residual_merges_a_power_of_a_power(capsys):
+    # d/dx ln((1/x^2)^(1/2)) runs through (x^-2)^(-1) = x^2, which must merge
+    # with the x^-3 beside it into 1/x
+    code, out, _ = run(capsys, "eom", "--L", "x'^2/2 + ln((1/x^2)^(1/2))")
+    assert code == 0
+    assert "eom.residual: x'' + 1/x\n" in out
+    assert "eom.explicit: x'' = -1/x\n" in out
+
+
 def test_eom_from_pair_with_composition(capsys):
     code, report, _ = run_json(
         capsys, "eom", "--B", "B0*exp(a0*x)", "--compose", "reciprocal"

@@ -13,6 +13,7 @@ from nullag import (
     LeadingCoefficientVanishes,
     NullCertificationFailed,
     NullPair,
+    ParseError,
     RangeGuardViolated,
     Verdict,
     ZERO,
@@ -39,6 +40,7 @@ from nullag import (
 import nullag.domain
 from nullag.composer import CATALOG
 from nullag.construct import FractionSpec, build_nonstandard_null, build_null, harmonic
+from nullag.expr import const_names
 from corpus import constant_family, exp_family, tied_family
 
 
@@ -279,6 +281,17 @@ def test_fractional_power_base_stays_positive_under_the_cleared_form():
 
 
 # user composers: a body over L and named constants
+
+
+def _holds_L(body):
+    """Whether the parsed body holds L: (L)*((L)^(-1)) is 1, and
+    (ln((L)*((L)^(-1))))^(-1) divides by zero."""
+    try:
+        return "L" in const_names(parse(body))
+    except ParseError:
+        return False
+
+
 _USER_BODIES = st.recursive(
     st.sampled_from(["L", "L", "a0", "b0", "2"]),
     lambda inner: st.one_of(
@@ -288,10 +301,17 @@ _USER_BODIES = st.recursive(
         st.tuples(st.sampled_from(["exp", "ln"]), inner).map(lambda fa: f"{fa[0]}({fa[1]})"),
     ),
     max_leaves=4,
-).filter(lambda body: "L" in body)
+).filter(_holds_L)
 # positive on the default box, so every range guard of a composer body over
 # positive constants is satisfiable
 _POSITIVE_LAGRANGIANS = st.sampled_from(["x'^2/2 + x", "x*x'^2 + t", "exp(t)*x'^2/2 + x^2", "x'^2 + 1/x"])
+
+
+@pytest.mark.parametrize("body", ["(L)*((L)^(-1))", "(exp(L))*((exp((-1)*L)))", "ln(exp(L)) + (-1)*L"])
+def test_a_body_that_cancels_L_is_rejected(body):
+    assert "L" not in const_names(parse(body))
+    with pytest.raises(ValueError, match="does not contain L"):
+        Composer.from_expr(parse(body))
 
 
 @given(body=_USER_BODIES, lagrangian=_POSITIVE_LAGRANGIANS)

@@ -33,6 +33,7 @@ from nullag import (
     XDOT,
     ZERO,
     add,
+    apply_fn,
     bind_constants,
     canonicalize,
     comparison_catalog,
@@ -169,21 +170,31 @@ _atoms = st.sampled_from(
     [X, XDOT, T, FuncSym("f1"), FuncSym("f2", 1), ConstSym("a1"), ConstSym("b0")]
 )
 _consts = st.fractions(min_value=-4, max_value=4, max_denominator=6).map(Const)
+_HALF, _THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
+_int_exponents = st.integers(min_value=-2, max_value=3).map(Fraction)
 
 
-def _trees(depth, consts=_consts):
+def _trees(depth, consts=_consts, exponents=_int_exponents, funcs=()):
     if depth == 0:
         return st.one_of(_atoms, consts)
-    sub_tree = _trees(depth - 1, consts)
-    return st.one_of(
+    sub_tree = _trees(depth - 1, consts, exponents, funcs)
+    branches = [
         _atoms,
         consts,
         st.tuples(sub_tree, sub_tree).map(lambda ab: Sum(ab)),
         st.tuples(sub_tree, sub_tree).map(lambda ab: Product(ab)),
-        st.tuples(sub_tree, st.integers(min_value=-2, max_value=3)).map(
-            lambda bq: Power(bq[0], Fraction(bq[1]))
-        ),
-    )
+        st.tuples(sub_tree, exponents).map(lambda bq: Power(*bq)),
+    ]
+    if funcs:
+        branches.append(st.tuples(st.sampled_from(funcs), sub_tree).map(lambda fa: Apply(*fa)))
+    return st.one_of(*branches)
+
+
+def _wide_trees(depth):
+    """Trees with fractional exponents and elementary functions too: powers of
+    powers that land on another base, merged and extracted exponentials."""
+    exponents = st.one_of(_int_exponents, st.sampled_from([_HALF, -_HALF, _THREE_HALVES]))
+    return _trees(depth, exponents=exponents, funcs=("exp", "ln", "sin", "abs"))
 
 
 def _canonical_or_skip(raw):
@@ -247,9 +258,6 @@ def test_every_kernel_number_is_an_int_when_integral(raw, a1, b0, sym):
     derived = [f(t) for t in (e, bound) for f in (lambda u: diff(u, sym), total_dt, clear_denominators)]
     for tree in [e, bound, *derived]:
         assert all(_held_as_kernel_number(v) for v in _kernel_numbers(tree)), tree
-
-
-_HALF, _THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
 
 
 @pytest.mark.parametrize(
@@ -340,6 +348,35 @@ def test_total_dt_exponential_pair_matches_finite_differences():
 def test_total_dt_rejects_third_jet():
     with pytest.raises(JetOrderError):
         total_dt(parse("x'''"))
+
+
+def _prolongation(e):
+    """The total time derivative assembled by hand from four partials."""
+    return add(diff(e, T), mul(XDOT, diff(e, X)), mul(XDDOT, diff(e, XDOT)), mul(XDDDOT, diff(e, XDDOT)))
+
+
+@given(_wide_trees(3))
+def test_total_dt_is_the_four_partials_prolongation(raw):
+    e = _canonical_or_skip(raw)
+    assert _outcome(total_dt, e) == _outcome(_prolongation, e)
+    for third in (add(e, XDDDOT), apply_fn("sin", add(e, XDDDOT)), mul(XDDDOT, e)):
+        if third != ZERO:
+            with pytest.raises(JetOrderError):
+                total_dt(third)
+
+
+def test_a_power_of_a_power_merges_with_the_base_it_lands_on():
+    # the derivative runs through (x^-2)^(-1) = x^2, a power of x, which
+    # must merge with the x^-3 beside it
+    d = diff(parse("ln((1/x^2)^(1/2))"), X)
+    assert d == mul(-1, pow_(X, -1)) == parse("-1/x")
+    assert canonicalize(d) == d and parse(to_string(d)) == d
+    root = pow_(pow_(X, -2), -_HALF)
+    assert mul(root, root, pow_(X, -3)) == pow_(X, -1) == reference_mul(root, root, pow_(X, -3))
+    # the oracle raises a constant base to a negative power exactly, as mul does
+    half_root = pow_(const(2), -_HALF)
+    assert reference_mul(half_root, half_root) == Const(_HALF) == mul(half_root, half_root)
+    assert type(reference_mul(half_root, half_root).value) is Fraction
 
 
 def test_partials_match_finite_differences_at_guarded_points():
@@ -503,13 +540,7 @@ def test_total_dt_is_the_jet_prolongation(corpus_pairs):
     corpus bodies."""
     for name, pair in corpus_pairs.items():
         e = pair.assembled().body
-        assembled = add(
-            diff(e, T),
-            mul(XDOT, diff(e, X)),
-            mul(XDDOT, diff(e, XDOT)),
-            mul(XDDDOT, diff(e, XDDOT)),
-        )
-        assert total_dt(e) == assembled, name
+        assert total_dt(e) == _prolongation(e), name
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +605,14 @@ def _reference_sub(a, b):
     return reference_add(a, reference_mul(MINUS_ONE, b))
 
 
-@given(st.lists(_trees(3), min_size=2, max_size=4))
+@given(st.lists(_wide_trees(3), min_size=2, max_size=4))
 def test_constructors_equal_the_rebuilding_reference(raws):
     es = [_canonical_or_skip(r) for r in raws]
     assert _outcome(mul, *es) == _outcome(reference_mul, *es)
     assert _outcome(add, *es) == _outcome(reference_add, *es)
     assert _outcome(sub, es[0], es[1]) == _outcome(_reference_sub, es[0], es[1])
+    for e in es:
+        assert _outcome(lambda u: -u, e) == _outcome(reference_mul, MINUS_ONE, e)
     for e in (add(*es), sub(es[0], es[1]), *es):
         assert _outcome(clear_denominators, e) == _outcome(reference_clear_denominators, e)
 

@@ -2,6 +2,7 @@
 and carried on the certified object as its certificate."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,21 @@ def test_certificate_matches_is_null(corpus_pairs):
         assert pair.certificate.residual == check.residual, name
     assert NullPair(parse("x"), ZERO).certificate is None
     assert not NullPair(parse("x"), ZERO).is_certified
+
+
+def test_a_certified_pair_returns_the_lagrangian_it_judged(monkeypatch):
+    judged = []
+    real = variational.is_null
+    monkeypatch.setattr(variational, "is_null", lambda L, **kw: judged.append(L) or real(L, **kw))
+    pair = build_null(parse("x^2*t"))
+    L = pair.assembled()
+    assert any(j is L for j in judged)
+    assert pair.assembled() is L
+    # kept outside the fields: equality, hash and repr see only B, C, f, domain
+    raw = NullPair(pair.B, pair.C, pair.f, pair.domain)
+    assert raw == pair and hash(raw) == hash(pair) and repr(raw) == repr(pair)
+    assert [f.name for f in fields(NullPair)] == ["B", "C", "f", "domain", "certificate"]
+    assert raw.assembled() == L and raw.assembled() is raw.assembled()
 
 
 def test_proven_null_carries_no_sampling_report():
