@@ -102,7 +102,6 @@ from .composer import (
     composed_eom,
     conservation_eom,
     eom_from_lagrangian,
-    harmonic_eom,
     permissibility_check,
     solve_leading,
 )

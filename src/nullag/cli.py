@@ -236,7 +236,7 @@ def cmd_eom(args, report: dict) -> bool:
         if args.B:
             report["permissible"] = permissibility_check(F, pair, seed=args.seed)
     elif args.B:
-        eom = conservation_eom(pair, seed=args.seed)
+        eom = conservation_eom(pair)
     else:
         eom = eom_from_lagrangian(L)
     report["eom"] = eom.to_dict()
@@ -312,7 +312,7 @@ def cmd_compare(args, report: dict) -> bool:
     t0, x0, v0 = (_float(v) for v in args.ic.split(","))
     t1, h = _float(args.t1), _float(args.h)
     trajectories = {}
-    for route, eom in triple.routes(seed=args.seed).items():
+    for route, eom in triple.routes().items():
         trajectories[route] = integrate(eom.ivp(t0, x0, v0, t1, h, constants=constants))
     deviations = {}
     worst = 0.0
@@ -354,8 +354,18 @@ def _add_common(p: argparse.ArgumentParser, *, domain: bool = True) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown or missing flag, a flag value such as
+    `--x-box -1,1` read as a flag) is an input error: argparse's own exit 2
+    would read as a verification failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nullag",
         description="workbench for null Lagrangians: derive, verify, simulate, audit",
     )

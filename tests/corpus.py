@@ -4,9 +4,10 @@ by the test suite."""
 from __future__ import annotations
 
 from nullag.construct import FractionSpec, build_nonstandard_null, build_null
-from nullag.domain import DEFAULT_DOMAIN, Guard
+from nullag.domain import DEFAULT_DOMAIN, Domain, Guard
 from nullag.expr import ZERO, FuncSym
 from nullag.parser import parse
+from nullag.systems import build_displacement, build_timedep, classify_constant, comparison_catalog
 from nullag.variational import GaugeFunction, NullPair
 
 
@@ -64,6 +65,29 @@ def all_pairs(seed: int = 0) -> dict[str, NullPair]:
         "fraction": fraction_family(seed),
         "fraction_const": fraction_constant_acceleration(seed),
     }
+
+
+def catalog_pairs() -> dict[str, NullPair]:
+    """The certified pairs of the system catalog: the three comparison
+    triples, the tied and quadratic constant cases, two time-dependent and
+    two displacement-dependent cases."""
+    pairs = {f"compare {k}": comparison_catalog(k).null_pair for k in ("inertia", "quadratic", "tied")}
+    cases = {
+        "constant tied": classify_constant(0, 2, 1),
+        "constant quadratic": classify_constant(1, 0, 0),
+        "timedep 2/t": build_timedep(parse("2/t"), parse("0"), domain=Domain(t=(1.0, 3.0))),
+        "timedep t": build_timedep(parse("t")),
+        "displacement 1/x": build_displacement(parse("1/x"), 2, ctilde=0),
+        "displacement a0": build_displacement(parse("a0"), ZERO, ctilde=parse("ct3")),
+    }
+    pairs.update((name, case.null_pair) for name, case in cases.items())
+    return pairs
+
+
+def numerically_null_pair() -> NullPair:
+    """B_t = x*sin(2t) = d(xC)/dx holds, but only numerically: sin(2t) is
+    not canonically 2*sin(t)*cos(t)."""
+    return NullPair.certified(parse("x*sin(t)^2"), parse("1/2*x*sin(2*t)"))
 
 
 def gauge_examples() -> dict[str, GaugeFunction]:

@@ -5,6 +5,8 @@
 `sample_bindings` reads them off the rows of a `nullag.domain.Sample`.  `reference_integrate` is the
 RK4 loop written out over a compiled right-hand side and guard predicate;
 the generated stepper of `integrate` must match it bit for bit.
+`reference_conservation_residual` types out the paper's expanded
+conservation rule, which `conservation_eom` must reach as the same tree.
 `reference_add`, `reference_mul` and `reference_clear_denominators` are the
 canonicalizing constructors written to rebuild every node; the ones in
 `nullag.expr`, which keep the nodes nothing merged into, must give equal
@@ -31,13 +33,19 @@ from nullag import (
     Power,
     Product,
     Sum,
+    T,
     UnboundSymbolError,
+    X,
+    XDDOT,
+    XDOT,
     ZERO,
+    add,
     apply_fn,
     compile_expr,
     diff,
     free_atoms,
     instantiate,
+    mul,
     pow_,
     to_string,
     total_dt,
@@ -254,6 +262,17 @@ def reference_integrate(ivp):
     except (ZeroDivisionError, ValueError) as err:
         raise DomainExit(f"right-hand side undefined ({err}) in the step to t={t + h:g}", t + h) from None
     return Trajectory(tuple(ts), tuple(xs), tuple(vs), step)
+
+
+def reference_conservation_residual(B, C, f):
+    """The paper's expanded conservation rule for the pair (B, C, f),
+    B*x'' + (B_x*x' + 2*B_t)*x' + C_t*x + f', term by term."""
+    return add(
+        mul(B, XDDOT),
+        mul(add(mul(diff(B, X), XDOT), mul(2, diff(B, T))), XDOT),
+        mul(diff(C, T), X),
+        diff(f, T),
+    )
 
 
 def reference_add(*args):

@@ -73,10 +73,10 @@ def test_criterion_1_nullity_suite(corpus_pairs):
     for base in ("linear", "trig_exp"):
         for n in range(1, 5):
             h = harmonic(corpus_pairs[base], n)
-            _assert_null(h.as_lagrangian(), f"{base} harmonic {n}")
+            _assert_null(h.assembled(), f"{base} harmonic {n}")
     for base in ("fraction", "fraction_const"):
         h = harmonic(corpus_pairs[base], 1)
-        _assert_null(h.as_lagrangian(), f"{base} harmonic 1")
+        _assert_null(h.assembled(), f"{base} harmonic 1")
     elapsed = time.time() - start
     assert elapsed < 10.0, f"nullity suite took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 (nullity suite, {elapsed:.2f}s): PASS")

@@ -91,6 +91,37 @@ def test_parse_error_exit_code(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "x'", "--bogus"],
+        ["harmonic", "--B", "x"],
+        ["verify", "x'", "--x-box", "-1,1"],
+        ["simulate", "--system", "tied", "--ic", "-1,0,1", "--t1", "0.01"],
+    ],
+)
+def test_usage_error_is_an_input_error(capsys, argv):
+    # argparse's own exit 2 would read as a verification failure
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 3
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    capsys.readouterr()
+
+
+def test_a_negative_leading_value_is_read_after_equals(capsys):
+    assert main(["verify", "x'", "--x-box=-1,1"]) == 0
+    assert main(["simulate", "--system", "tied", "--ic=-1,0,1", "--t1", "0.01"]) == 0
+    capsys.readouterr()
+
+
 def test_harmonic_command(capsys):
     code, report, _ = run_json(
         capsys, "harmonic", "--B", "f1(t)*x + f2(t)*t + f3(t)", "--f", "f4(t)", "--n", "1"

@@ -3,9 +3,10 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from nullag import (
+    AntiderivativeUnsupported,
     Composer,
     DomainExit,
     Guard,
@@ -13,6 +14,7 @@ from nullag import (
     LeadingCoefficientVanishes,
     NullCertificationFailed,
     NullPair,
+    NullVerdict,
     ParseError,
     RangeGuardViolated,
     Verdict,
@@ -24,7 +26,6 @@ from nullag import (
     eom_from_lagrangian,
     equivalent,
     euler_lagrange_residual,
-    harmonic_eom,
     integrate,
     momentum,
     mul,
@@ -41,7 +42,9 @@ import nullag.domain
 from nullag.composer import CATALOG
 from nullag.construct import FractionSpec, build_nonstandard_null, build_null, harmonic
 from nullag.expr import const_names
-from corpus import constant_family, exp_family, tied_family
+from corpus import catalog_pairs, constant_family, exp_family, numerically_null_pair, tied_family
+from oracles import reference_conservation_residual
+from test_verdict_path import generating_functions
 
 
 def test_compose_identity_is_noop():
@@ -143,8 +146,10 @@ def test_conservation_eom_tied_oscillator_pair():
 
 def test_conservation_eom_requires_certificate():
     raw = NullPair(parse("c1"), ZERO, ZERO)
-    with pytest.raises(NullCertificationFailed):
-        conservation_eom(raw)
+    raw_harmonic = dataclasses.replace(harmonic(constant_family(), 1), certificate=None)
+    for uncertified in (raw, raw_harmonic):
+        with pytest.raises(NullCertificationFailed):
+            conservation_eom(uncertified)
 
 
 def test_conservation_matches_total_derivative(corpus_pairs):
@@ -159,18 +164,44 @@ def test_gauge_level_shift_leaves_eom_unchanged():
     assert conservation_eom(pair).residual == conservation_eom(shifted).residual
 
 
-def test_harmonic_eom_matches_direct_derivative():
+def test_conservation_eom_of_a_harmonic_matches_direct_derivative():
     pair = build_null(parse("f1(t)*x"), ZERO)
     for n in (0, 1, 2):
         h = harmonic(pair, n)
-        eom = harmonic_eom(h)
+        eom = conservation_eom(h)
         assert proven_zero(sub(eom.residual, total_dt(h.body))), n
 
 
-def test_harmonic_eom_constant_b_stays_inertia():
+def test_conservation_eom_of_a_harmonic_of_constant_b_stays_inertia():
     pair = constant_family()
     h = harmonic(pair, 1)
-    assert harmonic_eom(h).residual == parse("c1*x''")
+    assert conservation_eom(h).residual == parse("c1*x''")
+
+
+def test_conservation_residual_is_the_expanded_rule(corpus_pairs):
+    pairs = {**corpus_pairs, **catalog_pairs()}
+    pairs["numerically null"] = numerically_null_pair()
+    assert pairs["numerically null"].certificate.verdict is NullVerdict.NUMERICALLY_NULL
+    for name, pair in pairs.items():
+        expected = reference_conservation_residual(pair.B, pair.C, pair.f)
+        assert conservation_eom(pair).residual == expected, name
+
+
+@given(generating_functions, st.sampled_from(("0", "f4(t)", "t^2")))
+def test_conservation_residual_is_the_expanded_rule_on_generated_pairs(text, f):
+    try:
+        pair = build_null(parse(text), parse(f))
+    except AntiderivativeUnsupported:
+        assume(False)
+    expected = reference_conservation_residual(pair.B, pair.C, pair.f)
+    assert conservation_eom(pair).residual == expected
+
+
+def test_conservation_residual_of_harmonics_is_the_total_derivative(corpus_pairs):
+    for name, pair in corpus_pairs.items():
+        for n in range(4):
+            h = harmonic(pair, n)
+            assert proven_zero(sub(conservation_eom(h).residual, total_dt(h.body))), (name, n)
 
 
 def test_solve_leading_requires_linear_acceleration():

@@ -214,7 +214,7 @@ def test_nonstandard_harmonic_of_constant_acceleration():
     D = parse("a2*x + a4")
     expected = sub(mul(parse("a1"), pow_(D, -1)), mul(parse("a1*a2"), pow_(D, -2)))
     assert proven_zero(sub(h.B_n, expected))
-    assert is_null(h.as_lagrangian()).verdict is NullVerdict.PROVEN_NULL
+    assert is_null(h.assembled()).verdict is NullVerdict.PROVEN_NULL
 
 
 def test_nonstandard_harmonic_order_zero_is_base():
@@ -226,7 +226,7 @@ def test_nonstandard_harmonics_stay_null_at_higher_orders():
     pair = fraction_family()
     for n in (2, 3):
         h = harmonic(pair, n)
-        assert is_null(h.as_lagrangian()).verdict is NullVerdict.PROVEN_NULL, n
+        assert is_null(h.assembled()).verdict is NullVerdict.PROVEN_NULL, n
 
 
 # ---------------------------------------------------------------------------

@@ -100,3 +100,27 @@ def test_numbers_enter_the_kernel_through_const(module):
 def test_const_calls_are_found():
     source = "Const(1)\nex.Const(2)\nisinstance(c, Const)\nconst(3)\n"
     assert _const_calls(source) == ["Const(...) (line 1)", "Const(...) (line 2)"]
+
+
+def _nested_imports(source: str) -> list[str]:
+    """Imports inside a function body: a module states what it needs at its
+    top, where an import cycle shows at import time."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                f"import in {node.name} (line {inner.lineno})"
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            ]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_only_at_top_level(module):
+    assert _nested_imports((PACKAGE / module).read_text()) == []
+
+
+def test_nested_imports_are_found():
+    source = "import math\ndef f():\n    from .construct import weighted_B\n    return 1\n"
+    assert _nested_imports(source) == ["import in f (line 3)"]

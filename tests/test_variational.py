@@ -73,7 +73,7 @@ def test_is_null_first_harmonic_of_linear_family():
     from nullag.construct import harmonic
 
     h = harmonic(linear_family(), 1)
-    assert is_null(h.as_lagrangian()).verdict is NullVerdict.PROVEN_NULL
+    assert is_null(h.assembled()).verdict is NullVerdict.PROVEN_NULL
 
 
 def test_from_gauge_quadratic():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nullag.variational as variational
+from corpus import catalog_pairs
 from nullag.cli import main
 from nullag.construct import build_null, harmonic, solve_C
 from nullag.equivalence import Verdict, equivalent
@@ -38,9 +39,9 @@ generating_functions = st.lists(_terms, min_size=1, max_size=3).map(
 
 
 def test_null_condition_is_the_euler_lagrange_residual_on_the_corpus(corpus_pairs):
-    for name, pair in corpus_pairs.items():
-        raw = NullPair(pair.B, pair.C, pair.f)
-        assert null_condition_residual(pair.B, pair.C) == euler_lagrange_residual(raw.assembled()), name
+    # the residual the certificate keeps is the paper's null condition, tree for tree
+    for name, pair in {**corpus_pairs, **catalog_pairs()}.items():
+        assert null_condition_residual(pair.B, pair.C) == pair.certificate.residual, name
 
 
 @given(generating_functions, st.sampled_from(("0", "f4(t)", "t^2")))
@@ -204,8 +205,9 @@ def test_tolerance_flags_only_where_they_are_read(capsys):
     for argv in (["derive", "--B", "x", "--eps-eq", "1e-3"],
                  ["verify", "x'", "--eps-act", "1e-3"],
                  ["verify", "x'", "--eps-drift", "1e-3"]):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as err:
             main(argv)
+        assert err.value.code == 3, argv
     capsys.readouterr()
 
 
