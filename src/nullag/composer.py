@@ -60,7 +60,14 @@ from .expr import (
     total_dt,
 )
 from .numint import IVP
-from .variational import Lagrangian, NullCertificationFailed, NullPair, euler_lagrange_residual, momentum
+from .variational import (
+    Lagrangian,
+    NullCertificationFailed,
+    NullPair,
+    _residual_with_momentum,
+    euler_lagrange_residual,
+    momentum,
+)
 
 _SLOT = ConstSym("_lambda_")
 
@@ -257,9 +264,10 @@ def composed_eom(F: Composer, L: Lagrangian) -> EquationOfMotion:
     compose(F, L): p_L*F''(L)*dL/dt + E(L)*F'(L); reduces to the
     Euler-Lagrange residual E(L) for F = identity."""
     body = L.body
+    p = momentum(body)
     residual = add(
-        mul(momentum(L), F.deriv2(body), total_dt(body)),
-        mul(euler_lagrange_residual(L), F.deriv1(body)),
+        mul(p, F.deriv2(body), total_dt(body)),
+        mul(_residual_with_momentum(body, p), F.deriv1(body)),
     )
     return EquationOfMotion(residual, "composition", _composed_domain(F, L))
 

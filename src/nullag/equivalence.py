@@ -1,9 +1,12 @@
 """Tri-state expression equivalence: proven, numeric, or distinct.
 
-Symbolic canonical equality (after clearing denominators) is sound but
-incomplete; the fallback samples seeded guarded points with all opaque
-functions instantiated from the standard test set.  Reports are
-JSON-compatible and carry the seed, tolerances, and instantiations used.
+The exact proof (expr.proven_zero of the difference) is sound but
+incomplete.  It ends at the canonical zero, at a nonzero residue mod
+2^61 - 1 that no clearing of denominators can bring to zero, or at the
+difference with its denominators cleared.  When it fails, the fallback
+samples seeded guarded points with all opaque functions instantiated from
+the standard test set.  Reports are JSON-compatible and carry the seed,
+tolerances, and instantiations used.
 """
 
 from __future__ import annotations

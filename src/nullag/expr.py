@@ -33,6 +33,10 @@ one walk of the tree, not four partials added up.  Negation (sub, unary
 minus) flips the sign of each term's coefficient, which leaves the term
 canonical, instead of multiplying every term by -1.
 
+proven_zero evaluates a tree mod the prime 2^61 - 1 (_residue) before it
+clears denominators: a nonzero residue already shows that clearing cannot
+reach zero, so a failing proof stops there.
+
 All values are immutable; an operation shares the nodes it keeps.  A node's
 ordering key (sort_key) is computed the first time it is asked for and
 kept in the node's _key slot, so a node must never be mutated.
@@ -747,10 +751,73 @@ def clear_denominators(e: Expr) -> Expr:
     return e
 
 
+_P = 2**61 - 1  # a Mersenne prime: residues fit one machine word
+_M64 = 2**64 - 1
+
+
+def _point(k: int) -> int:
+    """The residue of the k-th indeterminate a walk meets: splitmix64 of k
+    reduced mod _P, so that no two are tied by a small linear or
+    multiplicative relation."""
+    z = (k + 1) * 0x9E3779B97F4A7C15 & _M64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return (z ^ (z >> 31)) % _P
+
+
+def _residue(e: Expr) -> int:
+    """The value of a canonical tree mod _P.
+
+    Each distinct jet, named constant, f(t) of each order and ln, sin, cos
+    or abs application is one indeterminate; its residue is _point(k) for
+    the k-th one the walk meets.  Raises ValueError where there is no
+    residue that clearing is known to keep: at an exp, at a fractional
+    exponent, and where an inverse of 0 mod _P would be needed."""
+    points: dict[Expr, int] = {}
+
+    def value(n: Expr) -> int:
+        if isinstance(n, Sum):
+            return sum(map(value, n.terms)) % _P
+        if isinstance(n, Product):
+            return math.prod(map(value, n.factors)) % _P
+        if isinstance(n, Power):
+            if n.exponent.denominator != 1:
+                raise ValueError("fractional exponent")
+            # pow raises ValueError when a negative exponent needs 1/0
+            return pow(value(n.base), n.exponent, _P)
+        if isinstance(n, Const):
+            v = n.value
+            return v.numerator * pow(v.denominator, -1, _P) % _P
+        if isinstance(n, Apply) and n.func == "exp":
+            raise ValueError("exp")
+        r = points.get(n)
+        if r is None:
+            r = points[n] = _point(len(points))
+        return r
+
+    return value(e)
+
+
 def proven_zero(e: Expr) -> bool:
-    """Sound, incomplete zero test: canonical zero or zero after clearing
-    denominators of the guarded rational structure."""
-    return e == ZERO or clear_denominators(e) == ZERO
+    """Sound, incomplete zero test.  A proof ends in one of three ways:
+    e is the canonical zero (True); e has a nonzero residue mod 2^61 - 1
+    (_residue), a witness that clearing cannot reach zero (False); or e is
+    zero after clear_denominators (True, else False).
+
+    The witness decides nothing that clearing would not: without exp and
+    fractional exponents every rewrite add, mul and pow_ make while
+    clearing is a ring identity, which reduction mod a prime keeps, and
+    every base that clearing multiplies by had a residue the walk could
+    invert.  So a nonzero residue means a cleared form other than ZERO,
+    and the witness only makes a failing proof cheaper."""
+    if e == ZERO:
+        return True
+    try:
+        if _residue(e):
+            return False
+    except ValueError:
+        pass
+    return clear_denominators(e) == ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,13 @@ def with_bump(path: Path, amplitude: float, k: int = 1) -> Path:
 def euler_lagrange_residual(L: Lagrangian | Expr) -> Expr:
     """total_dt(dL/dxdot) - dL/dx; identically zero exactly for null L."""
     body = L.body if isinstance(L, Lagrangian) else L
-    return sub(total_dt(diff(body, XDOT)), diff(body, X))
+    return _residual_with_momentum(body, diff(body, XDOT))
+
+
+def _residual_with_momentum(body: Expr, p: Expr) -> Expr:
+    """total_dt(p) - dL/dx for the body of L and its momentum p = dL/dxdot,
+    for a caller that has p already."""
+    return sub(total_dt(p), diff(body, X))
 
 
 def momentum(L: Lagrangian | Expr) -> Expr:

@@ -9,7 +9,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nullag import (
     Apply,
@@ -17,6 +17,7 @@ from nullag import (
     ConstSym,
     Domain,
     EvaluationError,
+    FractionSpec,
     FuncSym,
     Guard,
     JetOrderError,
@@ -35,11 +36,13 @@ from nullag import (
     add,
     apply_fn,
     bind_constants,
+    build_nonstandard_null,
     canonicalize,
     comparison_catalog,
     compile_expr,
     conservation_eom,
     diff,
+    div,
     equivalent,
     euler_lagrange_residual,
     mul,
@@ -52,8 +55,18 @@ from nullag import (
     total_dt,
 )
 
+from nullag import expr as expr_module
 from nullag.domain import instantiation_rounds
-from nullag.expr import MINUS_ONE, _pysrc, clear_denominators, const, sort_key
+from nullag.expr import (
+    MINUS_ONE,
+    _P,
+    _point,
+    _pysrc,
+    _residue,
+    clear_denominators,
+    const,
+    sort_key,
+)
 from oracles import (
     Bindings,
     GuardViolation,
@@ -652,3 +665,91 @@ def test_cleared_forms_are_canonical(corpus_pairs):
         cleared = clear_denominators(e)
         assert canonicalize(cleared) == cleared, to_string(e)
         assert cleared == reference_clear_denominators(e), to_string(e)
+
+
+# ---------------------------------------------------------------------------
+# the modular nonzero witness in proven_zero
+
+
+def _split_fractions(pqrs):
+    """p/q + r/s - (p*s + r*q)/(q*s): zero after clearing, rarely before."""
+    p, q, r, s = pqrs
+    return sub(add(div(p, q), div(r, s)), div(add(mul(p, s), mul(r, q)), mul(q, s)))
+
+
+@settings(max_examples=200)
+@given(st.one_of(_wide_trees(3), st.tuples(*[_trees(2)] * 4)))
+def test_the_witness_gives_the_answer_of_clearing(raw):
+    if isinstance(raw, tuple):  # drawn p, q, r, s
+        try:
+            e = _split_fractions([canonicalize(u) for u in raw])
+        except ZeroDivisionError:
+            assume(False)
+    else:
+        e = _canonical_or_skip(raw)
+    # proven_zero as it was before the witness
+    assert proven_zero(e) == (e == ZERO or reference_clear_denominators(e) == ZERO), to_string(e)
+
+
+def test_the_fraction_audit_difference_is_decided_by_its_witness(monkeypatch):
+    spec = FractionSpec(FuncSym("f1"), FuncSym("f2"), FuncSym("f3"), FuncSym("f4"))
+    machine = mul(X, build_nonstandard_null(spec).C)
+    reference = parse(
+        "(f1(t)'*f2(t) - f1(t)*f2(t)')/f2(t)^2"
+        "*(ln(abs(f2(t)*x + f3(t)*t + f4(t))) + (f3(t)*t + f4(t))/(f3(t)*x + f3(t)*t + f4(t)))"
+        " - ((f1(t)'*f3(t) - f1(t)*f3(t)' - f1(t)*f3(t))*t + f1(t)'*f4(t) - f1(t)*f4(t)')"
+        "/(f2(t)*(f2(t)*x + f3(t)*t + f4(t)))"
+    )
+    e = sub(reference, machine)
+    assert reference_clear_denominators(e) != ZERO
+
+    def refuse(e):
+        raise AssertionError("clear_denominators was called")
+
+    monkeypatch.setattr(expr_module, "clear_denominators", refuse)
+    assert proven_zero(e) is False
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # zero only once clearing merges exp(x)*exp(-x) into 1
+        "exp(x)/(exp(-x) + 1) - exp(2*x)/(exp(x) + 1)",
+        "x^(1/2)/(x + 1) + x^(3/2)/(x + 1) - x^(1/2)",
+    ],
+)
+def test_exp_and_fractional_powers_fall_through_to_clearing(text):
+    e = parse(text)
+    assert e != ZERO
+    with pytest.raises(ValueError):
+        _residue(e)
+    assert proven_zero(e)
+
+
+def test_a_denominator_divisible_by_the_prime_falls_through_to_clearing():
+    c = const(Fraction(1, _P))
+    zero = sub(mul(c, add(div(X, add(X, 1)), div(1, add(X, 1)))), c)
+    nonzero = add(mul(c, X), div(1, add(X, 1)))
+    for e, proven in ((zero, True), (nonzero, False)):
+        assert e != ZERO
+        with pytest.raises(ValueError):
+            _residue(e)
+        assert proven_zero(e) is proven
+
+
+def test_a_zero_residue_under_an_inverse_falls_through_to_clearing():
+    # x is the first indeterminate the walk meets, so x - _point(0) has residue 0
+    inverse = pow_(sub(X, _point(0)), -1)
+    zero = sub(mul(X, inverse), add(1, mul(_point(0), inverse)))
+    for e, proven in ((zero, True), (add(inverse, 1), False)):
+        assert e != ZERO
+        with pytest.raises(ValueError):
+            _residue(e)
+        assert proven_zero(e) is proven
+
+
+def test_indeterminates_take_residues_in_walk_order():
+    assert _residue(parse("x + 2*x'")) == (_point(0) + 2 * _point(1)) % _P
+    # canonical order: f1(t)' + a1*sin(x)
+    assert _residue(parse("sin(x)*a1 + f1(t)'")) == (_point(0) + _point(1) * _point(2)) % _P
+    assert _residue(const(Fraction(3, 4))) * 4 % _P == 3
