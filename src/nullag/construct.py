@@ -47,7 +47,7 @@ from .variational import (
     NullCertificationFailed,
     NullPair,
     NullReport,
-    is_null,
+    null_report,
 )
 
 HARMONIC_ORDER_CAP = 8
@@ -261,7 +261,8 @@ class HarmonicLagrangian:
 
     def assembled(self) -> Lagrangian:
         """The body as a Lagrangian on the base pair's domain, as
-        NullPair.assembled() is for a pair; certificate judged it."""
+        NullPair.assembled() is for a pair; the certificate holds its
+        Euler-Lagrange residual."""
         return Lagrangian(self.body, self.domain)
 
     # the benchmark's workloads call the old name (ROADMAP item 1 Step 1)
@@ -287,7 +288,9 @@ def harmonic(base: NullPair, n: int, *, seed: int = 0) -> HarmonicLagrangian:
     B_n = weighted_B(base.B, n)
     xC_n = weighted_B(mul(X, base.C), n)
     body = add(mul(B_n, XDOT), xC_n, base.f)
-    check = is_null(Lagrangian(body, base.domain), seed=seed)
+    # the null condition of (B_n, C_n): the Euler-Lagrange residual of body,
+    # tree for tree, from the xC_n already built
+    check = null_report(sub(diff(B_n, T), diff(xC_n, X)), base.domain, seed=seed)
     if not check:
         raise NullCertificationFailed(f"harmonic of order {n} failed nullity: {check.witness}")
     return HarmonicLagrangian(base, n, B_n, xC_n, body, certificate=check)

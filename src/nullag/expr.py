@@ -772,27 +772,39 @@ def _residue(e: Expr) -> int:
     or abs application is one indeterminate; its residue is _point(k) for
     the k-th one the walk meets.  Raises ValueError where there is no
     residue that clearing is known to keep: at an exp, at a fractional
-    exponent, and where an inverse of 0 mod _P would be needed."""
-    points: dict[Expr, int] = {}
+    exponent, and where an inverse of 0 mod _P would be needed.
+
+    A node shared within the tree is valued once (memo by id, sound because
+    the tree holds every node alive for the walk), and an indeterminate is
+    looked up by its cached sort_key, not by hash, which would walk an ln
+    or abs argument on every lookup."""
+    points: dict[tuple, int] = {}
+    memo: dict[int, int] = {}
 
     def value(n: Expr) -> int:
+        r = memo.get(id(n))
+        if r is not None:
+            return r
         if isinstance(n, Sum):
-            return sum(map(value, n.terms)) % _P
-        if isinstance(n, Product):
-            return math.prod(map(value, n.factors)) % _P
-        if isinstance(n, Power):
+            r = sum(map(value, n.terms)) % _P
+        elif isinstance(n, Product):
+            r = math.prod(map(value, n.factors)) % _P
+        elif isinstance(n, Power):
             if n.exponent.denominator != 1:
                 raise ValueError("fractional exponent")
             # pow raises ValueError when a negative exponent needs 1/0
-            return pow(value(n.base), n.exponent, _P)
-        if isinstance(n, Const):
+            r = pow(value(n.base), n.exponent, _P)
+        elif isinstance(n, Const):
             v = n.value
-            return v.numerator * pow(v.denominator, -1, _P) % _P
-        if isinstance(n, Apply) and n.func == "exp":
+            r = v.numerator * pow(v.denominator, -1, _P) % _P
+        elif isinstance(n, Apply) and n.func == "exp":
             raise ValueError("exp")
-        r = points.get(n)
-        if r is None:
-            r = points[n] = _point(len(points))
+        else:
+            key = sort_key(n)
+            r = points.get(key)
+            if r is None:
+                r = points[key] = _point(len(points))
+        memo[id(n)] = r
         return r
 
     return value(e)

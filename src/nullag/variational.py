@@ -6,6 +6,12 @@ A Lagrangian is an expression over (x, xdot, t) on a guarded domain.  It is
 null when the Euler-Lagrange operator annihilates it identically, which is
 the case exactly when it is the total time derivative of a gauge function
 of (x, t).
+
+For L = B*xdot + C*x + f the Euler-Lagrange residual is the paper's null
+condition dB/dt - d(xC)/dx, tree for tree, so a pair (and a harmonic) is
+certified from that condition without assembling or differentiating L.
+null_report maps either residual to a verdict; is_null is null_report of
+the Euler-Lagrange residual.
 """
 
 from __future__ import annotations
@@ -97,8 +103,10 @@ class NullPair:
 
     B is the velocity coefficient, C the displacement coefficient (both over
     x and t), f a function of t alone.  Certification happens at
-    construction via `certified`, which keeps the NullReport that decided it
-    as `certificate`; direct construction skips it (certificate None).
+    construction via `certified`, which judges the null condition
+    dB/dt - d(xC)/dx and keeps the NullReport that decided it as
+    `certificate`; its residual is the Euler-Lagrange residual of the
+    assembled Lagrangian.  Direct construction skips it (certificate None).
     """
 
     B: Expr
@@ -119,16 +127,16 @@ class NullPair:
     ) -> "NullPair":
         for name, e, allowed in (("B", B, {"x", "t"}), ("C", C, {"x", "t"}), ("f", f, {"t"})):
             require_support(e, allowed, name)
-        pair = cls(B, C, f, domain)
-        # the Euler-Lagrange residual of B*xdot + C*x + f is the null-condition
-        # residual, so this one verdict certifies both
-        report = is_null(pair.assembled(), seed=seed)
+        # the null-condition residual is the Euler-Lagrange residual of
+        # B*xdot + C*x + f, tree for tree, so this one verdict certifies both
+        # and the Lagrangian is not assembled for it
+        report = null_report(null_condition_residual(B, C), domain, seed=seed)
         if not report:
             raise NullCertificationFailed(
                 f"null condition violated: dB/dt - d(xC)/dx = {to_string(report.residual)}; "
                 f"witness {report.witness}"
             )
-        # set on the pair whose assembled Lagrangian the report judged
+        pair = cls(B, C, f, domain)
         object.__setattr__(pair, "certificate", report)
         return pair
 
@@ -138,8 +146,8 @@ class NullPair:
 
     def assembled(self) -> Lagrangian:
         """B*xdot + C*x + f as a Lagrangian, built on the first call and kept
-        outside the fields, so a certified pair returns the one its
-        certificate judged."""
+        outside the fields, so every call returns the same one; a certified
+        pair's certificate holds its Euler-Lagrange residual."""
         L = self.__dict__.get("_lagrangian")
         if L is None:
             L = Lagrangian(add(mul(self.B, XDOT), mul(self.C, X), self.f), self.domain)
@@ -236,8 +244,14 @@ def from_gauge(phi: GaugeFunction) -> Lagrangian:
 def is_null(L: Lagrangian, *, seed: int = 0, eps: float = EPS_EQ) -> NullReport:
     """ProvenNull / NumericallyNull / NotNull with witness, sampled on
     L.domain."""
-    residual = euler_lagrange_residual(L)
-    rep = vanishes(residual, L.domain, seed=seed, eps=eps)
+    return null_report(euler_lagrange_residual(L), L.domain, seed=seed, eps=eps)
+
+
+def null_report(residual: Expr, domain: Domain, *, seed: int = 0, eps: float = EPS_EQ) -> NullReport:
+    """The verdict on a residual that vanishes identically exactly when its
+    Lagrangian is null (the Euler-Lagrange residual, or the null condition
+    of a pair), with witness, sampled on domain."""
+    rep = vanishes(residual, domain, seed=seed, eps=eps)
     if rep.verdict is Verdict.PROVEN_EQUAL:
         return NullReport(NullVerdict.PROVEN_NULL, residual)
     if rep.verdict is Verdict.DISTINCT:

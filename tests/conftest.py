@@ -20,6 +20,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+# the identity properties run under this one in CI (--hypothesis-profile deep)
+settings.register_profile("deep", parent=settings.get_profile("fast"), max_examples=500)
 settings.load_profile("fast")
 
 

@@ -10,7 +10,8 @@ conservation rule, which `conservation_eom` must reach as the same tree.
 `reference_add`, `reference_mul` and `reference_clear_denominators` are the
 canonicalizing constructors written to rebuild every node; the ones in
 `nullag.expr`, which keep the nodes nothing merged into, must give equal
-trees.  The derivative oracles deliberately avoid the symbolic
+trees; `reference_residue` is `expr._residue` without its memo, its
+indeterminates looked up by equality, and must give equal values.  The derivative oracles deliberately avoid the symbolic
 differentiation path they check: partial derivatives are compared against
 central finite differences of `evaluate`, and total time derivatives against
 finite differences along a cubic jet path.
@@ -51,7 +52,7 @@ from nullag import (
     total_dt,
 )
 from nullag.domain import guard_predicate, sample_points
-from nullag.expr import _coerce, _term_from, as_coeff_factors, sort_key
+from nullag.expr import _P, _coerce, _point, _term_from, as_coeff_factors, sort_key
 from nullag.numint import Trajectory
 
 H_FD = 1e-6
@@ -403,3 +404,30 @@ def reference_clear_denominators(e):
         pieces = [Power(b, q) for b, q in need.values()]
         e = reference_add(*(reference_mul(term, *pieces) for term in terms))
     return e
+
+
+def reference_residue(e):
+    """expr._residue as it was before its memo: every visit of a node walks
+    it again, and each indeterminate is looked up by equality (hash and ==)
+    and takes _point(k) for the k-th one met."""
+    points = {}
+
+    def value(n):
+        if isinstance(n, Sum):
+            return sum(map(value, n.terms)) % _P
+        if isinstance(n, Product):
+            return math.prod(map(value, n.factors)) % _P
+        if isinstance(n, Power):
+            if n.exponent.denominator != 1:
+                raise ValueError("fractional exponent")
+            return pow(value(n.base), n.exponent, _P)
+        if isinstance(n, Const):
+            v = n.value
+            return v.numerator * pow(v.denominator, -1, _P) % _P
+        if isinstance(n, Apply) and n.func == "exp":
+            raise ValueError("exp")
+        if n not in points:
+            points[n] = _point(len(points))
+        return points[n]
+
+    return value(e)

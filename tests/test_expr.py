@@ -45,6 +45,7 @@ from nullag import (
     div,
     equivalent,
     euler_lagrange_residual,
+    harmonic,
     mul,
     parse,
     pow_,
@@ -76,6 +77,7 @@ from oracles import (
     reference_add,
     reference_clear_denominators,
     reference_mul,
+    reference_residue,
     sample_bindings,
 )
 
@@ -753,3 +755,59 @@ def test_indeterminates_take_residues_in_walk_order():
     # canonical order: f1(t)' + a1*sin(x)
     assert _residue(parse("sin(x)*a1 + f1(t)'")) == (_point(0) + _point(1) * _point(2)) % _P
     assert _residue(const(Fraction(3, 4))) * 4 % _P == 3
+
+
+def _residue_outcome(f, e):
+    try:
+        return f(e)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+def _deep_twins(u, c1, c2):
+    """ln and abs atoms whose arguments differ only in a constant deep inside,
+    each also as a factor beside its twin."""
+    inner1, inner2 = (Sum((Product((u, X)), Const(c))) for c in (c1, c2))
+    a1, a2 = Apply("ln", Apply("abs", inner1)), Apply("ln", Apply("abs", inner2))
+    return Sum((Product((a1, XDOT)), Product((a2, T)), Product((Apply("abs", inner2), a1, a2))))
+
+
+@given(st.one_of(
+    _wide_trees(3),
+    st.tuples(_trees(2), _consts, _consts).map(lambda uc: _deep_twins(uc[0], uc[1].value, uc[2].value)),
+))
+def test_the_memoized_residue_is_the_reference_walk(raw):
+    e = _canonical_or_skip(raw)
+    assert _residue_outcome(_residue, e) == _residue_outcome(reference_residue, e), to_string(e)
+
+
+def test_the_memoized_residue_is_the_reference_walk_over_the_corpus(corpus_pairs):
+    exprs = []
+    for pair in corpus_pairs.values():
+        L = pair.assembled()
+        h = harmonic(pair, 2)
+        exprs += [L.body, h.body, pair.certificate.residual, conservation_eom(pair).residual,
+                  conservation_eom(h).residual]
+    for key in ("inertia", "quadratic", "tied"):
+        triple = comparison_catalog(key)
+        for L in (triple.standard, triple.nonstandard):
+            exprs += [L.body, euler_lagrange_residual(L)]
+    exprs += [clear_denominators(e) for e in exprs]
+    assert any(isinstance(_residue_outcome(_residue, e), int) for e in exprs)
+    for e in exprs:
+        assert _residue_outcome(_residue, e) == _residue_outcome(reference_residue, e), to_string(e)
+
+
+def test_ln_and_abs_atoms_that_differ_deep_in_their_argument_are_distinct():
+    u = parse("x^2*t + f1(t)")
+    a1, a2 = (apply_fn("ln", apply_fn("abs", add(mul(u, X), c))) for c in (1, 2))
+    d = sub(a1, a2)
+    # the two logarithms are the walk's first two indeterminates, in either order
+    assert _residue(d) == reference_residue(d)
+    assert _residue(d) in {(_point(0) - _point(1)) % _P, (_point(1) - _point(0)) % _P}
+    e = canonicalize(_deep_twins(u, 1, 2))
+    same = canonicalize(_deep_twins(u, 2, 2))
+    assert _residue(e) == reference_residue(e) != _residue(same) == reference_residue(same)
+    # a node shared many times in the tree is valued once and alike every time
+    shared = Sum(tuple(Product((Const(k), e)) for k in range(1, 6)))
+    assert _residue(shared) == reference_residue(shared) == 15 * _residue(e) % _P
