@@ -31,7 +31,11 @@ The same rule spares other rebuilds.  diff and total_dt are one derivation
 walker, _derive, that differ only in what an atom maps to, so total_dt is
 one walk of the tree, not four partials added up.  Negation (sub, unary
 minus) flips the sign of each term's coefficient, which leaves the term
-canonical, instead of multiplying every term by -1.
+canonical, instead of multiplying every term by -1.  The product rule, and
+mul where it distributes a product over a sum, multiply a canonical term
+by the sorted factors of another (_times_term): where the two share no
+base and at most one holds an exp, the product is a merge of two sorted
+factor lists, with no bucketing.
 
 proven_zero evaluates a tree mod the prime 2^61 - 1 (_residue) before it
 clears denominators: a nonzero residue already shows that clearing cannot
@@ -318,7 +322,7 @@ def mul(*args) -> Expr:
     while stack:
         a = stack.pop()
         if isinstance(a, Const):
-            coeff = _num(coeff * a.value)
+            coeff = a.value if coeff == 1 else _num(coeff * a.value)
         elif isinstance(a, Product):
             stack.extend(reversed(a.factors))
         else:
@@ -328,7 +332,13 @@ def mul(*args) -> Expr:
     for i, f in enumerate(flat):
         if isinstance(f, Sum):
             rest = flat[:i] + flat[i + 1 :]
-            return add(*(mul(Const(coeff), *rest, term) for term in f.terms))
+            # _times_term takes the factors of one product; a p that is a Sum
+            # (another sum among the co-factors) is distributed through mul
+            p = mul(Const(coeff), *rest)
+            if isinstance(p, Sum):
+                return add(*(mul(Const(coeff), *rest, term) for term in f.terms))
+            c, fs = as_coeff_factors(p)
+            return add(*(_times_term(c, fs, term) for term in f.terms))
     # Each bucket is [base, exponent, the factor itself while nothing has
     # merged into it]; a lone factor is kept, not rebuilt through pow_.
     powers: dict[tuple, list] = {}
@@ -386,6 +396,35 @@ def mul(*args) -> Expr:
     if coeff == 1:
         return pieces[0] if len(pieces) == 1 else Product(tuple(pieces))
     return Product((Const(coeff),) + tuple(pieces))
+
+
+def _bucket(f: Expr):
+    """The key of the bucket mul puts a canonical factor in: its base's
+    sort_key, or one shared key for every exp, since mul merges them all."""
+    if isinstance(f, Power):
+        return sort_key(f.base)
+    if isinstance(f, Apply) and f.func == "exp":
+        return "exp"
+    return sort_key(f)
+
+
+def _times_term(coeff: int | Fraction, others: tuple[Expr, ...], term: Expr) -> Expr:
+    """mul(Const(coeff), *others, term) for the sorted factors others of a
+    canonical product and a canonical non-Sum term.
+
+    A Const term only scales the coefficient.  When no factor of term would
+    share one of mul's buckets with a factor of others (no common base, an
+    exp on at most one side), mul would keep every factor as it is, so the
+    result is the merge of the two sorted factor lists; any other term goes
+    through mul, which merges the bases and the exps."""
+    c, fs = as_coeff_factors(term)
+    if c != 1:
+        coeff = c if coeff == 1 else _num(coeff * c)
+    if not fs:
+        return _term_from(coeff, others) if coeff != 0 else ZERO
+    if set(map(_bucket, others)).isdisjoint(map(_bucket, fs)):
+        return _term_from(coeff, tuple(sorted(others + fs, key=sort_key)))
+    return mul(Const(coeff), *others, *fs)
 
 
 def pow_(base, exponent: Number) -> Expr:
@@ -554,7 +593,11 @@ def total_dt(e: Expr) -> Expr:
 def _derive(e: Expr, atom: Callable[[Expr], Expr]) -> Expr:
     """The derivation that maps each atom (JetSym, ConstSym, FuncSym) through
     atom, extended to every node by the sum, product and chain rules.  Every
-    atom of e is visited."""
+    atom of e is visited.
+
+    The product rule splits the product once into its coefficient and
+    sorted factors, and multiplies each term of a factor's derivative into
+    the other factors through _times_term, which is mul on those inputs."""
     if isinstance(e, (JetSym, ConstSym, FuncSym)):
         return atom(e)
     if isinstance(e, Const):
@@ -562,12 +605,15 @@ def _derive(e: Expr, atom: Callable[[Expr], Expr]) -> Expr:
     if isinstance(e, Sum):
         return add(*(_derive(t, atom) for t in e.terms))
     if isinstance(e, Product):
+        coeff, factors = as_coeff_factors(e)
         parts = []
-        for i, f in enumerate(e.factors):
+        for i, f in enumerate(factors):
             d = _derive(f, atom)
             if d == ZERO:
                 continue
-            parts.append(mul(*e.factors[:i], d, *e.factors[i + 1 :]))
+            others = factors[:i] + factors[i + 1 :]
+            for term in d.terms if isinstance(d, Sum) else (d,):
+                parts.append(_times_term(coeff, others, term))
         return add(*parts) if parts else ZERO
     if isinstance(e, Power):
         d = _derive(e.base, atom)

@@ -10,8 +10,11 @@ conservation rule, which `conservation_eom` must reach as the same tree.
 `reference_add`, `reference_mul` and `reference_clear_denominators` are the
 canonicalizing constructors written to rebuild every node; the ones in
 `nullag.expr`, which keep the nodes nothing merged into, must give equal
-trees; `reference_residue` is `expr._residue` without its memo, its
-indeterminates looked up by equality, and must give equal values.  The derivative oracles deliberately avoid the symbolic
+trees; `reference_derive` is the derivation walker whose product rule
+calls mul on every factor, which `expr._derive`'s merge of sorted factor
+lists must match tree for tree; `reference_residue` is `expr._residue`
+without its memo, its indeterminates looked up by equality, and must give
+equal values.  The derivative oracles deliberately avoid the symbolic
 differentiation path they check: partial derivatives are compared against
 central finite differences of `evaluate`, and total time derivatives against
 finite differences along a cubic jet path.
@@ -52,7 +55,7 @@ from nullag import (
     total_dt,
 )
 from nullag.domain import guard_predicate, sample_points
-from nullag.expr import _P, _coerce, _point, _term_from, as_coeff_factors, sort_key
+from nullag.expr import MINUS_ONE, _P, _coerce, _point, _term_from, as_coeff_factors, sort_key
 from nullag.numint import Trajectory
 
 H_FD = 1e-6
@@ -379,6 +382,43 @@ def reference_mul(*args):
     if coeff == 1:
         return pieces[0] if len(pieces) == 1 else Product(tuple(pieces))
     return Product((Const(coeff),) + tuple(pieces))
+
+
+def reference_derive(e, atom):
+    """expr._derive with the product rule through mul: each factor's
+    derivative times all the other factors, the coefficient among them,
+    re-bucketed and re-sorted by mul."""
+    if isinstance(e, (JetSym, ConstSym, FuncSym)):
+        return atom(e)
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Sum):
+        return add(*(reference_derive(t, atom) for t in e.terms))
+    if isinstance(e, Product):
+        parts = []
+        for i, f in enumerate(e.factors):
+            d = reference_derive(f, atom)
+            if d != ZERO:
+                parts.append(mul(*e.factors[:i], d, *e.factors[i + 1 :]))
+        return add(*parts) if parts else ZERO
+    if isinstance(e, Power):
+        d = reference_derive(e.base, atom)
+        if d == ZERO:
+            return ZERO
+        return mul(Const(e.exponent), pow_(e.base, e.exponent - 1), d)
+    d = reference_derive(e.arg, atom)
+    if d == ZERO:
+        return ZERO
+    if e.func == "exp":
+        return mul(e, d)
+    if e.func == "ln":
+        return mul(d, pow_(e.arg, -1))
+    if e.func == "sin":
+        return mul(apply_fn("cos", e.arg), d)
+    if e.func == "cos":
+        return mul(MINUS_ONE, apply_fn("sin", e.arg), d)
+    # d|u| = u * u' / |u|
+    return mul(e.arg, pow_(e, -1), d)
 
 
 def reference_clear_denominators(e):

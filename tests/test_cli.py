@@ -502,6 +502,37 @@ def test_derive_spec_file_never_raises(capsys, tmp_path, records):
     capsys.readouterr()
 
 
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """verify, derive, eom --L, eom --B --compose or harmonic --n 1..2 over
+    drawn expressions; values are passed as --flag=value so a leading minus
+    is not a flag."""
+    command = draw(st.sampled_from(["verify", "derive", "eom", "compose", "harmonic"]))
+    e = draw(_EXPRESSIONS)
+    if command == "verify":
+        return ["verify", e]
+    if command == "eom":
+        return ["eom", f"--L={e}"]
+    if command == "compose":
+        composer = draw(st.sampled_from(["identity", "exp", "ln", "reciprocal", "power:2"]))
+        return ["eom", f"--B={e}", f"--compose={composer}"]
+    argv = [command, f"--B={e}"]
+    if draw(st.booleans()):
+        argv.append(f"--f={draw(_EXPRESSIONS)}")
+    if command == "harmonic":
+        argv.append(f"--n={draw(st.integers(1, 2))}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+def test_drawn_command_lines_never_raise(capsys, argv):
+    """Whatever expressions they hold, these commands end in a documented
+    exit code, never in a traceback."""
+    assert main([*argv, "--json"]) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # input support: each catalog coefficient and composer states what it may hold
 

@@ -60,10 +60,14 @@ from nullag import expr as expr_module
 from nullag.domain import instantiation_rounds
 from nullag.expr import (
     MINUS_ONE,
+    ONE,
     _P,
     _point,
+    _prolong,
     _pysrc,
     _residue,
+    _times_term,
+    as_coeff_factors,
     clear_denominators,
     const,
     sort_key,
@@ -76,6 +80,7 @@ from oracles import (
     evaluate,
     reference_add,
     reference_clear_denominators,
+    reference_derive,
     reference_mul,
     reference_residue,
     sample_bindings,
@@ -667,6 +672,77 @@ def test_cleared_forms_are_canonical(corpus_pairs):
         cleared = clear_denominators(e)
         assert canonicalize(cleared) == cleared, to_string(e)
         assert cleared == reference_clear_denominators(e), to_string(e)
+
+
+# ---------------------------------------------------------------------------
+# the product rule multiplies canonical terms by a merge of sorted factors
+
+
+def _partial(sym):
+    """The atom map of diff by sym, written out for reference_derive."""
+
+    def atom(a):
+        if a == sym:
+            return ONE
+        if sym == T and isinstance(a, FuncSym):
+            return FuncSym(a.name, a.order + 1)
+        return ZERO
+
+    return atom
+
+
+@given(_wide_trees(3))
+def test_diff_and_total_dt_equal_the_reference_walker(raw):
+    e = _canonical_or_skip(raw)
+    for sym in (X, XDOT, T, ConstSym("a1")):
+        assert _outcome(diff, e, sym) == _outcome(reference_derive, e, _partial(sym)), to_string(e)
+    assert _outcome(total_dt, e) == _outcome(reference_derive, e, _prolong), to_string(e)
+
+
+@given(_wide_trees(3), _wide_trees(3))
+def test_times_term_is_mul(raw_product, raw_term):
+    product, term = _canonical_or_skip(raw_product), _canonical_or_skip(raw_term)
+    assume(not isinstance(product, Sum) and product != ZERO)
+    coeff, others = as_coeff_factors(product)
+    for t in term.terms if isinstance(term, Sum) else (term,):
+        assert _outcome(_times_term, coeff, others, t) == _outcome(mul, Const(coeff), *others, t)
+
+
+@pytest.mark.parametrize(
+    "text, derivative",
+    [
+        # a factor of the derivative meets the base of another factor
+        ("x*ln(x)", "ln(x) + 1"),
+        # an exp on both sides
+        ("exp(x)*sin(exp(x))", "exp(x)*sin(exp(x)) + exp(2*x)*cos(exp(x))"),
+        # a fractional power meets the base x
+        ("x^(1/2)*ln(x)", "1/2*ln(x)/x^(1/2) + 1/x^(1/2)"),
+        # a Const-base power among the other factors, then meeting its base
+        ("2^(1/2)*x", "2^(1/2)"),
+        ("2^(1/2)*exp(2^(1/2)*x)", "2*exp(2^(1/2)*x)"),
+        # a derivative that is a Sum, one of whose terms meets the base x
+        ("t*x*ln(x^2 + x)", "t*ln(x^2 + x) + (2*t*x^2 + t*x)/(x^2 + x)"),
+    ],
+)
+def test_each_fallback_of_the_merge_is_the_reference_derivative(text, derivative):
+    e = parse(text)
+    assert diff(e, X) == reference_derive(e, _partial(X)) == parse(derivative)
+    assert total_dt(e) == reference_derive(e, _prolong)
+    assert total_dt(mul(XDOT, e)) == reference_derive(mul(XDOT, e), _prolong)
+
+
+@pytest.mark.parametrize(
+    "factors, product",
+    [
+        # a co-factor meets the base of a term of the sum
+        (["x", "x + 1/x"], "x^2 + 1"),
+        # the co-factors hold a second Sum
+        (["x + 1", "t + 1", "x - t"], "x^2*t + x^2 + x - x*t^2 - t^2 - t"),
+    ],
+)
+def test_sum_distribution_falls_back_to_mul(factors, product):
+    es = [parse(f) for f in factors]
+    assert mul(*es) == reference_mul(*es) == parse(product)
 
 
 # ---------------------------------------------------------------------------
