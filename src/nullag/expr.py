@@ -332,13 +332,15 @@ def mul(*args) -> Expr:
     for i, f in enumerate(flat):
         if isinstance(f, Sum):
             rest = flat[:i] + flat[i + 1 :]
-            # _times_term takes the factors of one product; a p that is a Sum
-            # (another sum among the co-factors) is distributed through mul
-            p = mul(Const(coeff), *rest)
-            if isinstance(p, Sum):
-                return add(*(mul(Const(coeff), *rest, term) for term in f.terms))
-            c, fs = as_coeff_factors(p)
-            return add(*(_times_term(c, fs, term) for term in f.terms))
+            # _times_term takes the factors of one product.  A later sum (f is
+            # the first), or co-factors that merge into a sum
+            # ((x+1)^(1/2)*(x+1)^(1/2) is x + 1), send each term through mul.
+            if not any(isinstance(r, Sum) for r in flat[i + 1 :]):
+                p = mul(Const(coeff), *rest)
+                if not isinstance(p, Sum):
+                    c, fs = as_coeff_factors(p)
+                    return add(*(_times_term(c, fs, term) for term in f.terms))
+            return add(*(mul(Const(coeff), *rest, term) for term in f.terms))
     # Each bucket is [base, exponent, the factor itself while nothing has
     # merged into it]; a lone factor is kept, not rebuilt through pow_.
     powers: dict[tuple, list] = {}

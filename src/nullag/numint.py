@@ -15,6 +15,11 @@ and the guards (`domain.guard_source`) are one `and` expression tested after
 each step, so a step makes no function call for g or the guards.
 `invariant_values` likewise generates one list comprehension with the body
 of L_null inline.  Nothing generated is kept across calls.
+
+`write_csv` formats the conserved L_null column once per distinct value
+(a zero on every row, to keep its sign) and reuses the string; the t, x and
+x' columns are formatted on every row.  The bytes are those of formatting
+every value.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from . import expr as ex
 from .domain import DomainExit, Guard, guard_source
@@ -260,9 +264,30 @@ def compare(a: Trajectory, b: Trajectory) -> TrajectoryDeviation:
     return TrajectoryDeviation(_max_deviation(a.x, b.x), _max_deviation(a.v, b.v))
 
 
-def write_csv(path, traj: Trajectory, invariant: Iterable[float]) -> None:
-    """CSV rows t,x,xdot,L_null at full double precision."""
+# Most distinct L_null strings one write_csv call keeps; past it a new value
+# is formatted on every row, so a column that never repeats stays bounded.
+_CSV_MEMO = 4096
+
+
+def write_csv(path, traj: Trajectory, invariant: tuple[float, ...]) -> None:
+    """CSV rows t,x,xdot,L_null at full double precision (repr of each float).
+
+    invariant holds one value per trajectory row; any other length raises
+    ValueError before the file is opened.  Along a solution L_null is
+    conserved, so its column repeats a few distinct doubles: each is
+    formatted once and its string reused, which leaves the bytes unchanged.
+    A zero is formatted on every row, because 0.0 == -0.0 would serve one
+    sign's string for the other."""
+    if len(invariant) != len(traj):
+        raise ValueError(f"invariant has {len(invariant)} values for {len(traj)} trajectory rows")
+    memo: dict[float, str] = {}
     with open(path, "w") as fh:
         fh.write("t,x,xdot,L_null\n")
         for t, x, v, L in zip(traj.t, traj.x, traj.v, invariant):
-            fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r},{float(L)!r}\n")
+            L = float(L)
+            text = memo.get(L)
+            if text is None:
+                text = repr(L)
+                if L and len(memo) < _CSV_MEMO:
+                    memo[L] = text
+            fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r},{text}\n")

@@ -5,6 +5,9 @@
 `sample_bindings` reads them off the rows of a `nullag.domain.Sample`.  `reference_integrate` is the
 RK4 loop written out over a compiled right-hand side and guard predicate;
 the generated stepper of `integrate` must match it bit for bit.
+`reference_write_csv` is the CSV writer that formats every value of every
+row; `write_csv`, which formats each distinct L_null value once, must write
+the same bytes.
 `reference_conservation_residual` types out the paper's expanded
 conservation rule, which `conservation_eom` must reach as the same tree.
 `reference_add`, `reference_mul` and `reference_clear_denominators` are the
@@ -266,6 +269,14 @@ def reference_integrate(ivp):
     except (ZeroDivisionError, ValueError) as err:
         raise DomainExit(f"right-hand side undefined ({err}) in the step to t={t + h:g}", t + h) from None
     return Trajectory(tuple(ts), tuple(xs), tuple(vs), step)
+
+
+def reference_write_csv(path, traj, invariant):
+    """CSV rows t,x,xdot,L_null with repr of every value on every row."""
+    with open(path, "w") as fh:
+        fh.write("t,x,xdot,L_null\n")
+        for t, x, v, L in zip(traj.t, traj.x, traj.v, invariant):
+            fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r},{float(L)!r}\n")
 
 
 def reference_conservation_residual(B, C, f):

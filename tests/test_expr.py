@@ -738,6 +738,10 @@ def test_each_fallback_of_the_merge_is_the_reference_derivative(text, derivative
         (["x", "x + 1/x"], "x^2 + 1"),
         # the co-factors hold a second Sum
         (["x + 1", "t + 1", "x - t"], "x^2*t + x^2 + x - x*t^2 - t^2 - t"),
+        # co-factors with no Sum whose powers of one sum merge into it
+        (["t + 1", "(x + 1)^(1/2)", "(x + 1)^(1/2)"], "x*t + x + t + 1"),
+        # (x + 1)^(3/2) is itself expanded into a Sum
+        (["t + 1", "(x + 1)^(1/2)", "(x + 1)^(3/2)"], "(t + 1)*(x^2 + 2*x + 1)"),
     ],
 )
 def test_sum_distribution_falls_back_to_mul(factors, product):

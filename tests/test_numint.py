@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,9 +28,9 @@ from nullag import (
     parse,
     write_csv,
 )
-from nullag.numint import MAX_STEPS, Trajectory
+from nullag.numint import _CSV_MEMO, MAX_STEPS, Trajectory
 from nullag.systems import classify_constant
-from oracles import reference_integrate
+from oracles import reference_integrate, reference_write_csv
 from test_expr import _canonical_or_skip, _trees
 
 TWO_OVER_E = 0.7357588823428847
@@ -307,3 +308,75 @@ def test_csv_round_trip(tmp_path):
     assert parsed[0][3] == pytest.approx(2.0)
     # full double precision round trip
     assert parsed[-1][1] == traj.x[-1]
+
+
+def _csv_bytes(writer, traj, invariant):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trajectory.csv")
+        writer(path, traj, invariant)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# signed zeros, NaN, infinities, subnormals and ints next to drawn doubles
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5e-310]),
+    st.integers(min_value=-(10**20), max_value=10**20),
+)
+
+
+@st.composite
+def _csv_columns(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    t, x, v = (tuple(draw(st.lists(_CSV_VALUES, min_size=n, max_size=n))) for _ in range(3))
+    # three values make up the L_null column, so most rows repeat one
+    pool = draw(st.lists(_CSV_VALUES, min_size=3, max_size=3))
+    invariant = tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return Trajectory(t, x, v, 1e-3), invariant
+
+
+@given(_csv_columns())
+def test_csv_bytes_equal_the_reference_writer(columns):
+    traj, invariant = columns
+    assert _csv_bytes(write_csv, traj, invariant) == _csv_bytes(reference_write_csv, traj, invariant)
+
+
+def _grid(n):
+    return Trajectory(tuple(k * 0.1 for k in range(n)), (1.0,) * n, (-0.5,) * n, 0.1)
+
+
+@pytest.mark.parametrize(
+    "invariant, column",
+    [
+        # a zero keeps its sign on every row, whichever sign comes first
+        ((0.0, -0.0, 0.0), ["0.0", "-0.0", "0.0"]),
+        ((-0.0, 0.0, -0.0, 0.0), ["-0.0", "0.0", "-0.0", "0.0"]),
+        # an int and the float it equals are both printed as the float
+        ((1, 1.0, 1, 2.5, 2.5), ["1.0", "1.0", "1.0", "2.5", "2.5"]),
+        ((math.nan, 1e-300, math.nan, -math.inf, 1e-300), ["nan", "1e-300", "nan", "-inf", "1e-300"]),
+    ],
+)
+def test_csv_l_null_column_edge_cases(invariant, column):
+    traj = _grid(len(invariant))
+    text = _csv_bytes(write_csv, traj, invariant)
+    assert text == _csv_bytes(reference_write_csv, traj, invariant)
+    assert [row.split(b",")[3].decode() for row in text.splitlines()[1:]] == column
+
+
+def test_csv_column_past_the_memo_bound():
+    # more distinct values than the writer keeps, then repeats of the first
+    # ones (kept) and of the last ones (formatted again)
+    distinct = [k / 7.0 for k in range(1, _CSV_MEMO + 50)]
+    invariant = tuple(distinct + distinct[:20] + distinct[-20:] + [-0.0, distinct[0]])
+    traj = _grid(len(invariant))
+    assert _csv_bytes(write_csv, traj, invariant) == _csv_bytes(reference_write_csv, traj, invariant)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_csv_rejects_an_invariant_column_of_another_length(tmp_path, delta):
+    traj = _grid(5)
+    out = tmp_path / "trajectory.csv"
+    with pytest.raises(ValueError, match="5 trajectory rows"):
+        write_csv(out, traj, (2.0,) * (5 + delta))
+    assert not out.exists()
