@@ -157,12 +157,17 @@ def cmd_derive(args, report: dict) -> bool:
     return True
 
 
+_RECORD_FIELDS = {"kind", "B", "f", "f1", "f2", "f3", "f4", "domain", "guards"}
+
+
 def _derive_record(record, seed: int) -> dict:
     def check(ok: bool, problem: str) -> None:
         if not ok:
             raise ValueError(f"spec record {json.dumps(record)} {problem}")
 
     check(isinstance(record, dict), "is not a JSON object")
+    for k in record:
+        check(k in _RECORD_FIELDS, f"has an unknown field {k!r}")
     kind = record.get("kind", "generating")
     check(kind in ("generating", "fraction"), 'has a kind other than "generating" or "fraction"')
     missing = [k for k in (("f1", "f2") if kind == "fraction" else ("B",)) if k not in record]
@@ -172,9 +177,9 @@ def _derive_record(record, seed: int) -> dict:
     box = record.get("domain", {})
     check(isinstance(box, dict), "has a domain that is not an object")
     for k, lo_hi in box.items():
+        check(k in ("x", "t"), f"has a domain key {k!r} other than 'x' and 't'")
         check(
-            k not in ("x", "t")
-            or isinstance(lo_hi, list) and len(lo_hi) == 2
+            isinstance(lo_hi, list) and len(lo_hi) == 2
             # a JSON true/false is a bool, not a number; int/float comparison is exact
             and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in lo_hi),
             f"has a domain {k} that is not a list of two finite numbers",
@@ -183,6 +188,8 @@ def _derive_record(record, seed: int) -> dict:
     check(isinstance(guards, list), "has guards that are not a list")
     for g in guards:
         check(isinstance(g, dict) and isinstance(g.get("expr"), str), f"has a guard {json.dumps(g)} without a string expr")
+        for k in g:
+            check(k in ("expr", "positive"), f"has a guard {json.dumps(g)} with an unknown key {k!r}")
         check(isinstance(g.get("positive", False), bool), f"has a guard {json.dumps(g)} whose positive is not a boolean")
     try:
         domain = _domain(box.get("x"), box.get("t"), [(g["expr"], g.get("positive", False)) for g in guards])

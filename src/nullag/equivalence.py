@@ -73,8 +73,9 @@ def equivalent(
     """ProvenEqual when canonical forms agree (denominators cleared),
     NumericallyEqual when |e1-e2| <= eps*(1+|e1|) at N_EQ seeded guarded
     points per instantiation round, Distinct with a witness otherwise.
-    Raises InfeasibleDomainError when no sampled point of any round gave
-    finite values of both sides, since then nothing was compared."""
+    Raises InfeasibleDomainError when fewer than N_EQ sampled points, over
+    all rounds, gave finite values of both sides: a verdict resting on a few
+    points (the rest overflowed) decides nothing."""
     if constants:
         # bind_constants is exact, so a proof never rests on float rounding;
         # the sampler still receives the values so that domain guards
@@ -114,10 +115,10 @@ def equivalent(
                     max_abs_diff=max_diff,
                     witness={**sample.witness(row), "lhs": v1, "rhs": v2, "abs_diff": diff},
                 )
-    if not compared:
+    if compared < N_EQ:
         raise InfeasibleDomainError(
-            f"no sampled point gave finite values of both sides in {len(rounds)} round(s) "
-            f"of {N_EQ} points"
+            f"only {compared} sampled point(s) gave finite values of both sides in "
+            f"{len(rounds)} round(s) of {N_EQ} points; at least {N_EQ} are needed"
         )
     return EquivalenceReport(
         Verdict.NUMERICALLY_EQUAL,

@@ -27,15 +27,17 @@ nothing else: clear_denominators merges each term's exponents with the
 required powers itself and hands mul canonical pow_ results, never raw
 Power nodes.
 
+mul is the one way to multiply.  When no two of its flattened factors
+share a bucket (_bucket: no common base, at most one exp), nothing can
+merge, so it keeps them all and sorts them once, with no bucketing; the
+product rule and mul's own distribution over a sum multiply mostly such
+factors.
+
 The same rule spares other rebuilds.  diff and total_dt are one derivation
 walker, _derive, that differ only in what an atom maps to, so total_dt is
 one walk of the tree, not four partials added up.  Negation (sub, unary
 minus) flips the sign of each term's coefficient, which leaves the term
-canonical, instead of multiplying every term by -1.  The product rule, and
-mul where it distributes a product over a sum, multiply a canonical term
-by the sorted factors of another (_times_term): where the two share no
-base and at most one holds an exp, the product is a merge of two sorted
-factor lists, with no bucketing.
+canonical, instead of multiplying every term by -1.
 
 proven_zero evaluates a tree mod the prime 2^61 - 1 (_residue) before it
 clears denominators: a nonzero residue already shows that clearing cannot
@@ -315,6 +317,16 @@ def _is_simple_factor(e: Expr) -> bool:
     return not isinstance(e, (Sum, Product, Const))
 
 
+def _bucket(f: Expr):
+    """The key of the bucket mul puts a canonical factor in: its base's
+    sort_key, or one shared key for every exp, since mul merges them all."""
+    if isinstance(f, Power):
+        return sort_key(f.base)
+    if isinstance(f, Apply) and f.func == "exp":
+        return "exp"
+    return sort_key(f)
+
+
 def mul(*args) -> Expr:
     coeff = 1
     flat: list[Expr] = []
@@ -331,16 +343,12 @@ def mul(*args) -> Expr:
         return ZERO
     for i, f in enumerate(flat):
         if isinstance(f, Sum):
-            rest = flat[:i] + flat[i + 1 :]
-            # _times_term takes the factors of one product.  A later sum (f is
-            # the first), or co-factors that merge into a sum
-            # ((x+1)^(1/2)*(x+1)^(1/2) is x + 1), send each term through mul.
-            if not any(isinstance(r, Sum) for r in flat[i + 1 :]):
-                p = mul(Const(coeff), *rest)
-                if not isinstance(p, Sum):
-                    c, fs = as_coeff_factors(p)
-                    return add(*(_times_term(c, fs, term) for term in f.terms))
-            return add(*(mul(Const(coeff), *rest, term) for term in f.terms))
+            p = mul(Const(coeff), *flat[:i], *flat[i + 1 :])
+            return add(*(mul(p, term) for term in f.terms))
+    keys = [_bucket(f) for f in flat]
+    if len(set(keys)) == len(keys):
+        # no two factors share a bucket, so nothing merges: each is kept
+        return _term_from(coeff, tuple(sorted(flat, key=sort_key)))
     # Each bucket is [base, exponent, the factor itself while nothing has
     # merged into it]; a lone factor is kept, not rebuilt through pow_.
     powers: dict[tuple, list] = {}
@@ -371,8 +379,7 @@ def mul(*args) -> Expr:
             pow_into(f)
     pieces: list[Expr] = []
     needs_recurse = False
-    for key in sorted(powers):
-        base, q, kept = powers[key]
+    for key, (base, q, kept) in powers.items():
         if kept is not None:
             pieces.append(kept)
             continue
@@ -398,35 +405,6 @@ def mul(*args) -> Expr:
     if coeff == 1:
         return pieces[0] if len(pieces) == 1 else Product(tuple(pieces))
     return Product((Const(coeff),) + tuple(pieces))
-
-
-def _bucket(f: Expr):
-    """The key of the bucket mul puts a canonical factor in: its base's
-    sort_key, or one shared key for every exp, since mul merges them all."""
-    if isinstance(f, Power):
-        return sort_key(f.base)
-    if isinstance(f, Apply) and f.func == "exp":
-        return "exp"
-    return sort_key(f)
-
-
-def _times_term(coeff: int | Fraction, others: tuple[Expr, ...], term: Expr) -> Expr:
-    """mul(Const(coeff), *others, term) for the sorted factors others of a
-    canonical product and a canonical non-Sum term.
-
-    A Const term only scales the coefficient.  When no factor of term would
-    share one of mul's buckets with a factor of others (no common base, an
-    exp on at most one side), mul would keep every factor as it is, so the
-    result is the merge of the two sorted factor lists; any other term goes
-    through mul, which merges the bases and the exps."""
-    c, fs = as_coeff_factors(term)
-    if c != 1:
-        coeff = c if coeff == 1 else _num(coeff * c)
-    if not fs:
-        return _term_from(coeff, others) if coeff != 0 else ZERO
-    if set(map(_bucket, others)).isdisjoint(map(_bucket, fs)):
-        return _term_from(coeff, tuple(sorted(others + fs, key=sort_key)))
-    return mul(Const(coeff), *others, *fs)
 
 
 def pow_(base, exponent: Number) -> Expr:
@@ -599,7 +577,7 @@ def _derive(e: Expr, atom: Callable[[Expr], Expr]) -> Expr:
 
     The product rule splits the product once into its coefficient and
     sorted factors, and multiplies each term of a factor's derivative into
-    the other factors through _times_term, which is mul on those inputs."""
+    the other factors through mul."""
     if isinstance(e, (JetSym, ConstSym, FuncSym)):
         return atom(e)
     if isinstance(e, Const):
@@ -615,7 +593,7 @@ def _derive(e: Expr, atom: Callable[[Expr], Expr]) -> Expr:
                 continue
             others = factors[:i] + factors[i + 1 :]
             for term in d.terms if isinstance(d, Sum) else (d,):
-                parts.append(_times_term(coeff, others, term))
+                parts.append(mul(Const(coeff), *others, term))
         return add(*parts) if parts else ZERO
     if isinstance(e, Power):
         d = _derive(e.base, atom)

@@ -269,6 +269,8 @@ def test_reports_are_deterministic_given_seed(capsys):
         ("simulate", "--system", "quadratic", "--a0", "1", "--ic", "0,0,-2", "--t1", "1"),
         ("eom", "--B", "0", "--compose", "ln"),
         ("verify", "x'^2*x + exp(exp(exp(exp(exp(x)))))"),  # every sampled point overflows
+        # x^999999 overflows for x > 1: too few points are left to decide
+        ("verify", "x^1000000"),
     ],
 )
 def test_arithmetic_failures_exit_2_without_traceback(capsys, argv):
@@ -370,6 +372,24 @@ def test_malformed_spec_record_is_an_input_error(capsys, tmp_path, record):
     assert code == 3
     assert out == ""
     assert err.startswith("input error: spec record ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "record, key",
+    [
+        ({"B": "x", "domain": {"x": [0.5, 2.0], "T": [-3, -2]}}, "'T'"),
+        ({"B": "x", "guard": [{"expr": "x", "positive": True}]}, "'guard'"),
+        ({"B": "x", "guards": [{"expr": "x", "postive": True}]}, "'postive'"),
+    ],
+    ids=["domain", "field", "guard"],
+)
+def test_spec_record_with_an_unknown_key_is_an_input_error(capsys, tmp_path, record, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([record]))
+    code, out, err = run(capsys, "derive", "--spec-file", str(spec))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"input error: spec record {json.dumps(record)} has ") and key in err
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from nullag import (
     FractionSpec,
     FuncSym,
     Guard,
+    InfeasibleDomainError,
     JetOrderError,
     ParseError,
     Power,
@@ -66,7 +67,6 @@ from nullag.expr import (
     _prolong,
     _pysrc,
     _residue,
-    _times_term,
     as_coeff_factors,
     clear_denominators,
     const,
@@ -525,6 +525,13 @@ def test_equivalent_numeric_for_transcendental_identity():
     assert rep.max_abs_diff <= 1e-9
 
 
+def test_equivalent_needs_n_eq_compared_points():
+    """-1000000*x^999999 overflows at every sampled x > 1; the points left
+    (where it underflows to 0) are too few to call it zero."""
+    with pytest.raises(InfeasibleDomainError, match="only 12 sampled point"):
+        equivalent(parse("-1000000*x^999999"), ZERO)
+
+
 def test_equivalence_reports_are_seeded_and_reproducible():
     a, b = parse("sin(x)*exp(t)"), parse("cos(x)*exp(t)")
     r1 = equivalent(a, b, seed=7)
@@ -641,8 +648,22 @@ def test_mul_keeps_the_factors_nothing_merges_into():
     m = parse("3*x^2*sin(x)*exp(a0*t)/(x + t)")
     product = mul(XDOT, m)
     assert product == reference_mul(XDOT, m)
+    # one exp among factors of distinct bases is kept as it is
     for f in m.factors[1:]:
         assert any(g is f for g in product.factors), to_string(f)
+    # two exps merge into one
+    e = parse("exp(x)")
+    merged = mul(product, e)
+    assert merged == reference_mul(product, e) == parse("3*x^2*x'*sin(x)*exp(a0*t + x)/(x + t)")
+    # a shared base merges: x^2 * x^(1/2) is x^(5/2), the rest is kept
+    root = parse("x^(1/2)")
+    shared = mul(m, root)
+    assert shared == reference_mul(m, root) == parse("3*x^(5/2)*sin(x)*exp(a0*t)/(x + t)")
+    square = pow_(X, 2)
+    assert square in m.factors and square not in shared.factors
+    for f in m.factors[1:]:
+        if f != square:
+            assert any(g is f for g in shared.factors), to_string(f)
 
 
 def test_add_keeps_the_terms_nothing_merges_into():
@@ -675,7 +696,7 @@ def test_cleared_forms_are_canonical(corpus_pairs):
 
 
 # ---------------------------------------------------------------------------
-# the product rule multiplies canonical terms by a merge of sorted factors
+# the product rule and mul's sum distribution multiply through mul alone
 
 
 def _partial(sym):
@@ -700,12 +721,15 @@ def test_diff_and_total_dt_equal_the_reference_walker(raw):
 
 
 @given(_wide_trees(3), _wide_trees(3))
-def test_times_term_is_mul(raw_product, raw_term):
+def test_mul_on_product_rule_shapes_equals_the_reference(raw_product, raw_term):
+    """The product rule multiplies each term of a derivative into the other
+    factors of a product: mul(Const(c), *others, term)."""
     product, term = _canonical_or_skip(raw_product), _canonical_or_skip(raw_term)
     assume(not isinstance(product, Sum) and product != ZERO)
     coeff, others = as_coeff_factors(product)
     for t in term.terms if isinstance(term, Sum) else (term,):
-        assert _outcome(_times_term, coeff, others, t) == _outcome(mul, Const(coeff), *others, t)
+        args = (Const(coeff), *others, t)
+        assert _outcome(mul, *args) == _outcome(reference_mul, *args)
 
 
 @pytest.mark.parametrize(
@@ -725,6 +749,8 @@ def test_times_term_is_mul(raw_product, raw_term):
     ],
 )
 def test_each_fallback_of_the_merge_is_the_reference_derivative(text, derivative):
+    """Product-rule terms whose factors share one of mul's buckets, so mul
+    falls back from keeping the factors to merging them."""
     e = parse(text)
     assert diff(e, X) == reference_derive(e, _partial(X)) == parse(derivative)
     assert total_dt(e) == reference_derive(e, _prolong)
@@ -745,6 +771,8 @@ def test_each_fallback_of_the_merge_is_the_reference_derivative(text, derivative
     ],
 )
 def test_sum_distribution_falls_back_to_mul(factors, product):
+    """mul distributes a product over a sum as mul of the co-factors times
+    each term; these co-factors merge, or are themselves a sum."""
     es = [parse(f) for f in factors]
     assert mul(*es) == reference_mul(*es) == parse(product)
 
