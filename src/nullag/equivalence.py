@@ -73,9 +73,10 @@ def equivalent(
     """ProvenEqual when canonical forms agree (denominators cleared),
     NumericallyEqual when |e1-e2| <= eps*(1+|e1|) at N_EQ seeded guarded
     points per instantiation round, Distinct with a witness otherwise.
-    Raises InfeasibleDomainError when fewer than N_EQ sampled points, over
-    all rounds, gave finite values of both sides: a verdict resting on a few
-    points (the rest overflowed) decides nothing."""
+    Raises InfeasibleDomainError when a round has fewer than N_EQ sampled
+    points that gave finite values of both sides: a verdict resting on a few
+    points (the rest overflowed) decides nothing, and rounds that each
+    compare a few points do not add up to one that compares enough."""
     if constants:
         # bind_constants is exact, so a proof never rests on float rounding;
         # the sampler still receives the values so that domain guards
@@ -91,8 +92,9 @@ def equivalent(
         "{" + ", ".join(f"{k}={to_string(v)}" for k, v in r.items()) + "}" for r in rounds if r
     )
     max_diff = 0.0
-    compared = 0
+    fewest = N_EQ
     for funcs in rounds:
+        compared = 0
         sample = sample_points([e1, e2], domain, N_EQ, rng, funcs=funcs, constants=constants)
         f1, f2 = sample.functions
         for row in sample.rows:
@@ -115,10 +117,11 @@ def equivalent(
                     max_abs_diff=max_diff,
                     witness={**sample.witness(row), "lhs": v1, "rhs": v2, "abs_diff": diff},
                 )
-    if compared < N_EQ:
+        fewest = min(fewest, compared)
+    if fewest < N_EQ:
         raise InfeasibleDomainError(
-            f"only {compared} sampled point(s) gave finite values of both sides in "
-            f"{len(rounds)} round(s) of {N_EQ} points; at least {N_EQ} are needed"
+            f"only {fewest} sampled point(s) gave finite values of both sides in a "
+            f"round of {N_EQ} points ({len(rounds)} round(s)); each round needs {N_EQ}"
         )
     return EquivalenceReport(
         Verdict.NUMERICALLY_EQUAL,

@@ -27,11 +27,12 @@ nothing else: clear_denominators merges each term's exponents with the
 required powers itself and hands mul canonical pow_ results, never raw
 Power nodes.
 
-mul is the one way to multiply.  When no two of its flattened factors
-share a bucket (_bucket: no common base, at most one exp), nothing can
-merge, so it keeps them all and sorts them once, with no bucketing; the
-product rule and mul's own distribution over a sum multiply mostly such
-factors.
+mul is the one way to multiply.  It buckets its flattened factors once
+(_bucket: by base, with one bucket for every exp) and merges only the
+buckets that hold two or more; every other factor is kept, and when no two
+factors collide, which is most of what the product rule and mul's own
+distribution over a sum multiply, they are sorted once.  A merged piece
+that is not a factor of its own bucket is multiplied in once more.
 
 The same rule spares other rebuilds.  diff and total_dt are one derivation
 walker, _derive, that differ only in what an atom maps to, so total_dt is
@@ -59,6 +60,9 @@ Number = Union[int, float, Fraction]
 
 APPLY_FUNCS = ("exp", "ln", "sin", "cos", "abs")
 JET_NAMES = ("x", "xdot", "xddot", "xdddot", "t")
+# pow_ expands a sum of m terms to the power n by repeated multiplication, in
+# at most m*C(n + m - 1, m) products of two terms (about 25 us each)
+MAX_EXPANSION_PRODUCTS = 50_000
 
 
 class ExprError(Exception):
@@ -313,10 +317,6 @@ def add(*args) -> Expr:
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def _is_simple_factor(e: Expr) -> bool:
-    return not isinstance(e, (Sum, Product, Const))
-
-
 def _bucket(f: Expr):
     """The key of the bucket mul puts a canonical factor in: its base's
     sort_key, or one shared key for every exp, since mul merges them all."""
@@ -343,68 +343,34 @@ def mul(*args) -> Expr:
         return ZERO
     for i, f in enumerate(flat):
         if isinstance(f, Sum):
-            p = mul(Const(coeff), *flat[:i], *flat[i + 1 :])
-            return add(*(mul(p, term) for term in f.terms))
-    keys = [_bucket(f) for f in flat]
-    if len(set(keys)) == len(keys):
-        # no two factors share a bucket, so nothing merges: each is kept
-        return _term_from(coeff, tuple(sorted(flat, key=sort_key)))
-    # Each bucket is [base, exponent, the factor itself while nothing has
-    # merged into it]; a lone factor is kept, not rebuilt through pow_.
-    powers: dict[tuple, list] = {}
-
-    def pow_into(f: Expr):
-        base, q = _base_exponent(f)
-        key = sort_key(base)
-        entry = powers.get(key)
-        if entry is None:
-            powers[key] = [base, q, f]
-        else:
-            entry[1] = entry[1] + q
-            entry[2] = None
-
-    exps: list[Expr] = []
+            # each term meets the co-factors unmerged: merged first, 4^(-1/2)
+            # * 4^(-1/2) would fold to 1/4, which 4^(1/2) cannot merge with
+            rest = flat[:i] + flat[i + 1 :]
+            return add(*(mul(Const(coeff), *rest, term) for term in f.terms))
+    # one pass: a lone factor is kept as the same node, colliding ones merge
+    buckets: dict[object, list[Expr]] = {}
     for f in flat:
-        if isinstance(f, Apply) and f.func == "exp":
-            exps.append(f)
-        else:
-            pow_into(f)
-    if len(exps) == 1:
-        pow_into(exps[0])
-    elif exps:
-        combined = apply_fn("exp", add(*(f.arg for f in exps)))
-        comb_coeff, comb_factors = as_coeff_factors(combined)
-        coeff = _num(coeff * comb_coeff)
-        for f in comb_factors:
-            pow_into(f)
+        buckets.setdefault(_bucket(f), []).append(f)
+    if len(buckets) == len(flat):
+        return _term_from(coeff, tuple(sorted(flat, key=sort_key)))
     pieces: list[Expr] = []
-    needs_recurse = False
-    for key, (base, q, kept) in powers.items():
-        if kept is not None:
-            pieces.append(kept)
+    settled = True
+    for key, fs in buckets.items():
+        if len(fs) == 1:
+            pieces.append(fs[0])
             continue
-        if q == 0:
-            continue
-        if isinstance(base, Const) and q.denominator == 1:
-            # int ** negative int is a float: raise the exact rational
-            coeff = _num(coeff * Fraction(base.value) ** q.numerator)
-            continue
-        piece = pow_(base, q)
-        # a power of a power can land on another base ((x^-2)^-1 is x^2),
-        # which may have a bucket of its own
-        if not _is_simple_factor(piece) or sort_key(_base_exponent(piece)[0]) != key:
-            needs_recurse = True
+        if key == "exp":
+            piece = apply_fn("exp", add(*(f.arg for f in fs)))
+        else:
+            piece = pow_(_base_exponent(fs[0])[0], sum(_base_exponent(f)[1] for f in fs))
+        # a merged piece can be a constant, a product, or a power that lands
+        # on another base ((x^2)^(1/2) * (x^2)^(1/2) is x^2), which may have
+        # a bucket of its own: such pieces are multiplied once more
+        settled = settled and not isinstance(piece, (Sum, Product, Const)) and _bucket(piece) == key
         pieces.append(piece)
-    if needs_recurse:
+    if not settled:
         return mul(Const(coeff), *pieces)
-    if coeff == 0:
-        return ZERO
-    pieces.sort(key=sort_key)
-    if not pieces:
-        return Const(coeff)
-    if coeff == 1:
-        return pieces[0] if len(pieces) == 1 else Product(tuple(pieces))
-    return Product((Const(coeff),) + tuple(pieces))
+    return _term_from(coeff, tuple(sorted(pieces, key=sort_key)))
 
 
 def pow_(base, exponent: Number) -> Expr:
@@ -434,14 +400,23 @@ def pow_(base, exponent: Number) -> Expr:
         return Power(b, q)
     if isinstance(b, Product) and q.denominator == 1:
         return mul(*(pow_(f, q) for f in b.factors))
+    if isinstance(b, Sum) and q.denominator == 1 and q > 1:
+        m = len(b.terms)
+        products = m * math.comb(q + m - 1, m)
+        if products > MAX_EXPANSION_PRODUCTS:
+            raise ValueError(
+                f"expanding a sum of {m} terms to the power {q} takes up to {products} "
+                f"products of terms; at most {MAX_EXPANSION_PRODUCTS} are done"
+            )
+        r = b
+        for _ in range(q - 1):
+            r = mul(r, b)
+        return r
     if isinstance(b, (Sum, Product)) and q > 1:
         # u^(n + r) = u^n * u^r with u^n expanded, so that u^(3/2) and
         # u*u^(1/2) (which mul distributes or flattens) meet in one form
         n = q.numerator // q.denominator
-        r: Expr = b
-        for _ in range(n - 1):
-            r = mul(r, b)
-        return r if n == q else mul(r, Power(b, q - n))
+        return mul(pow_(b, n), Power(b, q - n))
     return Power(b, q)
 
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -271,12 +274,36 @@ def test_reports_are_deterministic_given_seed(capsys):
         ("verify", "x'^2*x + exp(exp(exp(exp(exp(x)))))"),  # every sampled point overflows
         # x^999999 overflows for x > 1: too few points are left to decide
         ("verify", "x^1000000"),
+        # each of the six instantiation rounds compares too few points, and
+        # the rounds do not add up to one that compares enough
+        ("verify", "f1(t)*x^1000000"),
     ],
 )
 def test_arithmetic_failures_exit_2_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eom", "--B", "x*t", "--compose", "power:100000"),
+        ("verify", "(x+t+x')^100000"),
+        ("verify", "(x*t)^(100000001/2)"),
+    ],
+)
+def test_huge_powers_end_quickly_without_traceback(argv):
+    """A sum to a huge power is refused before it is expanded, and a product
+    to a huge fractional power is raised by its exponents, not multiplied
+    out; a subprocess so that a regression times out instead of hanging."""
+    code = "import sys; from nullag.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nullag.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert out.returncode in (2, 3)
+    assert "Traceback" not in out.stderr
 
 
 INERTIA_NONSTANDARD = "1/(C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2))"

@@ -165,6 +165,37 @@ def test_fractional_powers_above_one_split_off_their_fractional_part():
     assert proven_zero(parse("(x + t)^(3/2) - (x + t)*(x + t)^(1/2)"))
 
 
+def test_a_product_to_a_large_fractional_power_takes_its_whole_part_at_once(monkeypatch):
+    # (x*t)^(100000001/2) is (x*t)^50000000 * (x*t)^(1/2): x^50000000 *
+    # t^50000000 by the integer rule, not 50 million multiplications
+    real_mul = expr_module.mul
+    calls = []
+
+    def counting_mul(*args):
+        calls.append(args)
+        assert len(calls) <= 100, "pow_ multiplies once per unit of the exponent"
+        return real_mul(*args)
+
+    xt = mul(X, T)
+    monkeypatch.setattr(expr_module, "mul", counting_mul)
+    got = pow_(xt, Fraction(100000001, 2))
+    monkeypatch.undo()
+    assert got == mul(pow_(xt, 50000000), Power(xt, _HALF))
+
+
+def test_a_sum_to_a_power_past_the_expansion_cap_is_refused(monkeypatch):
+    # (x + t)^n takes 2*C(n + 1, 2) products of terms: 12 for n = 3, 20 for 4
+    monkeypatch.setattr(expr_module, "MAX_EXPANSION_PRODUCTS", 12)
+    assert pow_(add(X, T), 3) == parse("x^3 + 3*x^2*t + 3*x*t^2 + t^3")
+    with pytest.raises(ValueError, match="to the power 4 takes up to 20 products of terms"):
+        pow_(add(X, T), 4)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="of 3 terms to the power 100000 takes up to"):
+        parse("(x + t + x')^100000")
+    # 330 terms, but cheap to expand: a cap on terms would refuse it
+    assert len(parse("(x + t + a0 + a1 + a2)^7").terms) == 330
+
+
 def test_exponentials_merge():
     assert mul(parse("exp(a0*x)"), parse("exp(b0*t)")) == parse("exp(a0*x + b0*t)")
     assert mul(parse("exp(a0*x)"), parse("exp(-a0*x)")) == Const(Fraction(1))
@@ -383,6 +414,17 @@ def test_total_dt_is_the_four_partials_prolongation(raw):
         if third != ZERO:
             with pytest.raises(JetOrderError):
                 total_dt(third)
+
+
+def test_a_merged_product_or_constant_is_multiplied_again():
+    # (x*t)^(1/2) * (x*t)^(1/2) is the product x*t and 2^(1/2) * 2^(1/2) the
+    # constant 2: neither is a factor, so mul multiplies them into the rest
+    xt_root, two_root = Power(mul(X, T), _HALF), pow_(const(2), _HALF)
+    for args in ((xt_root, xt_root, X), (two_root, two_root, X), (xt_root, two_root, xt_root, two_root)):
+        got = mul(*args)
+        assert got == reference_mul(*args) and canonicalize(got) == got
+    assert mul(xt_root, xt_root, X) == parse("x^2*t")
+    assert mul(two_root, two_root, X) == parse("2*x")
 
 
 def test_a_power_of_a_power_merges_with_the_base_it_lands_on():
@@ -768,10 +810,13 @@ def test_each_fallback_of_the_merge_is_the_reference_derivative(text, derivative
         (["t + 1", "(x + 1)^(1/2)", "(x + 1)^(1/2)"], "x*t + x + t + 1"),
         # (x + 1)^(3/2) is itself expanded into a Sum
         (["t + 1", "(x + 1)^(1/2)", "(x + 1)^(3/2)"], "(t + 1)*(x^2 + 2*x + 1)"),
+        # merged apart from the term, 4^(-1/2) * 4^(-1/2) is the constant
+        # 1/4, and 1/4 * 4^(1/2) is not 4^(-1/2)
+        (["4^(-1/2)", "x + 4^(1/2)", "4^(-1/2)"], "4^(-1/2) + 1/4*x"),
     ],
 )
 def test_sum_distribution_falls_back_to_mul(factors, product):
-    """mul distributes a product over a sum as mul of the co-factors times
+    """mul distributes a product over a sum as mul of the co-factors and
     each term; these co-factors merge, or are themselves a sum."""
     es = [parse(f) for f in factors]
     assert mul(*es) == reference_mul(*es) == parse(product)
