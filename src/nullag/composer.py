@@ -44,13 +44,11 @@ from .equivalence import EPS_EQ, N_EQ
 from .expr import (
     ConstSym,
     Expr,
-    Sum,
     XDDOT,
     XDOT,
     ZERO,
     add,
     apply_fn,
-    as_coeff_factors,
     diff,
     mul,
     pow_,
@@ -197,8 +195,8 @@ class EquationOfMotion:
 
     @property
     def leading(self) -> Expr:
-        """Exactly the xddot coefficient of the residual."""
-        return xddot_coefficient(self.residual)
+        """The xddot coefficient of the residual, which is linear in xddot."""
+        return diff(self.residual, XDDOT)
 
     def explicit(self) -> Expr:
         return solve_leading(self)
@@ -228,29 +226,6 @@ class EquationOfMotion:
         except LeadingCoefficientVanishes:
             d["explicit"] = None
         return d
-
-
-def xddot_coefficient(e: Expr) -> Expr:
-    """Coefficient of xddot^1; raises if xddot appears nonlinearly."""
-    terms = e.terms if isinstance(e, Sum) else (e,)
-    parts = []
-    for term in terms:
-        coeff, factors = as_coeff_factors(term)
-        for f in factors:
-            base, q = ex._base_exponent(f)
-            if base == XDDOT:
-                if q != 1:
-                    raise LeadingCoefficientVanishes(
-                        f"residual is nonlinear in x'': term {to_string(term)}"
-                    )
-                rest = tuple(g for g in factors if g is not f)
-                parts.append(ex._term_from(coeff, rest))
-                break
-            if ex.depends_on(base, XDDOT):
-                raise LeadingCoefficientVanishes(
-                    f"x'' appears inside a non-polynomial factor: {to_string(term)}"
-                )
-    return add(*parts) if parts else ZERO
 
 
 def eom_from_lagrangian(L: Lagrangian) -> EquationOfMotion:
@@ -292,7 +267,7 @@ def solve_leading(eom: EquationOfMotion) -> Expr:
     denominators cleared, where lead is its x'' coefficient; eom.guards()
     keeps the cleared bases nonzero."""
     cleared = ex.clear_denominators(eom.residual)
-    leading = xddot_coefficient(cleared)
+    leading = diff(cleared, XDDOT)
     if leading == ZERO:
         raise LeadingCoefficientVanishes("residual has no x'' term")
     rest = sub(cleared, mul(leading, XDDOT))

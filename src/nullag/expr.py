@@ -974,8 +974,8 @@ def _print_term(coeff, factors: tuple[Expr, ...]) -> str:
     den_parts: list[str] = []
     for f in factors:
         if isinstance(f, Power) and f.exponent < 0:
-            # "x/(a+b)^2" would re-parse with the square expanded before the
-            # inversion; sum bases below -1 keep their explicit exponent
+            # "x/(a+b)^2" re-parses to the same tree, but sum bases below -1
+            # keep their explicit exponent so that reports stay byte-identical
             if isinstance(f.base, Sum) and f.exponent != -1:
                 num_parts.append(_print_pow(f.base, f.exponent))
             else:
@@ -987,8 +987,8 @@ def _print_term(coeff, factors: tuple[Expr, ...]) -> str:
         num_parts.insert(0, cs)
     num = "*".join(num_parts)
     if den_parts:
-        # chained division: "a/x/(u + v)" re-parses factor by factor, whereas
-        # "a/(x*(u + v))" would expand the product before inverting it
+        # chained division: "a/(x*(u + v))" re-parses to the same tree, but
+        # "a/x/(u + v)" is kept so that reports stay byte-identical
         return num + "/" + "/".join(den_parts)
     return num
 

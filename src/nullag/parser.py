@@ -3,7 +3,7 @@
 Grammar (ASCII only)::
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
+    term   := factor (('*'|'/') factor)*       # a/(u*(v+w)^2) keeps (v+w)^(-2)
     factor := base ('^' rational)?
     base   := number | 'x' | "x'" | "x''" | "x'''" | 't'
             | ident '(' 't' ')' ("'")*          # opaque time-function
@@ -27,10 +27,10 @@ from .expr import (
     FuncSym,
     JetSym,
     T,
+    ZERO,
     add,
     apply_fn,
     const,
-    div,
     mul,
     neg,
     pow_,
@@ -134,13 +134,13 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return e
 
-    def parse_expr(self) -> Expr:
-        negate = False
-        if self.at_op("+", "-"):
-            negate = self.next().text == "-"
-        e = self.parse_term()
-        if negate:
-            e = neg(e)
+    def parse_expr(self, e: Expr | None = None) -> Expr:
+        """An expression; e, when given, is its first term, already read."""
+        if e is None:
+            negate = self.at_op("+", "-") and self.next().text == "-"
+            e = self.parse_term()
+            if negate:
+                e = neg(e)
         while self.at_op("+", "-"):
             op = self.next().text
             rhs = self.parse_term()
@@ -150,18 +150,47 @@ class _Parser:
     def parse_term(self) -> Expr:
         e = self.parse_factor()
         while self.at_op("*", "/"):
-            op = self.next().text
-            rhs = self.parse_factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            if self.next().text == "*":
+                e = mul(e, self.parse_factor())
+            else:
+                e = mul(e, *(pow_(b, -q) for b, q in self.parse_divisor()))
         return e
+
+    def parse_divisor(self) -> list[tuple[Expr, int | Fraction]]:
+        """The factor after '/' as (base, exponent) pairs, so that no product
+        of sums is expanded before it is inverted.  A parenthesized product
+        under an integer power gives a pair per factor, one level deep, and a
+        sum keeps its power.  A group that holds a zero factor or opens with a
+        sign, or is under a fractional power ((u*v)^(1/2) is not
+        u^(1/2)*v^(1/2) on the reals), is one base: 1/(x/0) divides by zero."""
+        if not self.at_op("("):
+            return [(self.parse_factor(), 1)]
+        self.next()
+        if self.at_op("+", "-"):
+            self.i -= 1
+            return [(self.parse_factor(), 1)]
+        pairs = [(self.parse_base(), self.parse_exponent())]
+        while self.at_op("*", "/"):
+            sign = 1 if self.next().text == "*" else -1
+            pairs.append((self.parse_base(), sign * self.parse_exponent()))
+        if self.at_op("+", "-"):
+            pairs = [(self.parse_expr(mul(*(pow_(b, q) for b, q in pairs))), 1)]
+        self.close_group()
+        q = self.parse_exponent()
+        if q.denominator != 1 or any(b == ZERO for b, _ in pairs):
+            return [(pow_(mul(*(pow_(b, p) for b, p in pairs)), q), 1)]
+        return [(b, p * q) for b, p in pairs]
 
     def parse_factor(self) -> Expr:
         base = self.parse_base()
-        if self.at_op("^"):
-            self.next()
-            q = self.parse_rational()
-            return pow_(base, q)
-        return base
+        return pow_(base, self.parse_exponent()) if self.at_op("^") else base
+
+    def parse_exponent(self) -> int | Fraction:
+        """The rational after '^', or 1 when no '^' follows."""
+        if not self.at_op("^"):
+            return 1
+        self.next()
+        return self.parse_rational()
 
     def parse_rational(self) -> Fraction:
         tok = self.peek()
@@ -199,14 +228,17 @@ class _Parser:
             return const(Fraction(tok.text))
         if tok.kind == "OP" and tok.text == "(":
             e = self.parse_expr()
-            self.expect_op(")")
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "APOS":
-                raise ParseError("derivative marker may only follow x or an opaque function", nxt.pos)
+            self.close_group()
             return e
         if tok.kind == "IDENT":
             return self.parse_ident(tok)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+
+    def close_group(self) -> None:
+        self.expect_op(")")
+        nxt = self.peek()
+        if nxt is not None and nxt.kind == "APOS":
+            raise ParseError("derivative marker may only follow x or an opaque function", nxt.pos)
 
     def parse_ident(self, tok: _Token) -> Expr:
         name = tok.text

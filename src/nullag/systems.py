@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import expr as ex
 from .composer import EquationOfMotion, conservation_eom, eom_from_lagrangian
 from .construct import AntiderivativeUnsupported, antiderivative
-from .domain import DEFAULT_DOMAIN, Domain, Guard
+from .domain import DEFAULT_DOMAIN, Domain
 from .equivalence import Verdict, equivalent, vanishes
 from .expr import (
     ConstSym,
@@ -333,25 +333,18 @@ def comparison_catalog(key: str, *, seed: int = 0) -> ComparisonTriple:
     oscillator; constants stay symbolic (bind DEFAULT_COMPARISON_CONSTANTS
     or your own values for numeric work)."""
     if key == "inertia":
-        nsd_domain = DEFAULT_DOMAIN.with_guards(
-            Guard(parse("C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2)")),
-            Guard(parse("a0*t + v0")),
-        )
         return ComparisonTriple(
             "inertia",
             standard=Lagrangian(parse("1/2*x'^2")),
-            nonstandard=Lagrangian(
-                parse("1/(C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2))"), nsd_domain
-            ),
+            nonstandard=Lagrangian(parse("1/(C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2))")),
             null_pair=NullPair.certified(parse("c1"), ZERO, ZERO, seed=seed),
             target_residual=XDDOT,
         )
     if key == "quadratic":
-        nsd_domain = DEFAULT_DOMAIN.with_guards(Guard(parse("x'*exp(a0*x) + 1")))
         return ComparisonTriple(
             "quadratic",
             standard=Lagrangian(parse("1/2*x'^2*exp(2*a0*x)")),
-            nonstandard=Lagrangian(parse("1/(x'*exp(a0*x) + 1)"), nsd_domain),
+            nonstandard=Lagrangian(parse("1/(x'*exp(a0*x) + 1)")),
             null_pair=NullPair.certified(parse("c2*exp(a0*x)"), ZERO, ZERO, seed=seed),
             target_residual=_target_residual(ConstSym("a0"), ZERO, ZERO),
         )
@@ -360,11 +353,10 @@ def comparison_catalog(key: str, *, seed: int = 0) -> ComparisonTriple:
         # the exponent written over x; that variant does not reproduce the
         # oscillator through the Euler-Lagrange route (see audit module).
         # The working form, equal to 1/L_null at unit scale, carries t.
-        nsd_domain = DEFAULT_DOMAIN.with_guards(Guard(parse("x' + 1/2*b0*x")))
         return ComparisonTriple(
             "tied",
             standard=Lagrangian(parse("1/2*(x'^2 - 1/4*b0^2*x^2)*exp(b0*t)")),
-            nonstandard=Lagrangian(parse("exp(-b0*t/2)/(x' + 1/2*b0*x)"), nsd_domain),
+            nonstandard=Lagrangian(parse("exp(-b0*t/2)/(x' + 1/2*b0*x)")),
             null_pair=NullPair.certified(
                 parse("c3*exp(b0*t/2)"), parse("1/2*c3*b0*exp(b0*t/2)"), ZERO, seed=seed
             ),

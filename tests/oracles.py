@@ -17,7 +17,9 @@ trees; `reference_derive` is the derivation walker whose product rule
 calls mul on every factor, which `expr._derive`'s merge of sorted factor
 lists must match tree for tree; `reference_residue` is `expr._residue`
 without its memo, its indeterminates looked up by equality, and must give
-equal values.  The derivative oracles deliberately avoid the symbolic
+equal values; `reference_xddot_coefficient` is the term walker that read
+the x'' coefficient off a residual, which `diff(residual, XDDOT)` must
+match tree for tree.  The derivative oracles deliberately avoid the symbolic
 differentiation path they check: partial derivatives are compared against
 central finite differences of `evaluate`, and total time derivatives against
 finite differences along a cubic jet path.
@@ -58,7 +60,17 @@ from nullag import (
     total_dt,
 )
 from nullag.domain import guard_predicate, sample_points
-from nullag.expr import MINUS_ONE, _P, _coerce, _point, _term_from, as_coeff_factors, sort_key
+from nullag.expr import (
+    MINUS_ONE,
+    _P,
+    _base_exponent,
+    _coerce,
+    _point,
+    _term_from,
+    as_coeff_factors,
+    depends_on,
+    sort_key,
+)
 from nullag.numint import Trajectory
 
 H_FD = 1e-6
@@ -430,6 +442,22 @@ def reference_derive(e, atom):
         return mul(MINUS_ONE, apply_fn("sin", e.arg), d)
     # d|u| = u * u' / |u|
     return mul(e.arg, pow_(e, -1), d)
+
+
+def reference_xddot_coefficient(e):
+    """The coefficient of xddot^1, term by term; raises ValueError where
+    xddot appears other than linearly."""
+    parts = []
+    for term in e.terms if isinstance(e, Sum) else (e,):
+        coeff, factors = as_coeff_factors(term)
+        for f in factors:
+            base, q = _base_exponent(f)
+            if base == XDDOT and q == 1:
+                parts.append(_term_from(coeff, tuple(g for g in factors if g is not f)))
+                break
+            if depends_on(base, XDDOT):
+                raise ValueError(f"x'' appears nonlinearly in {to_string(term)}")
+    return add(*parts)
 
 
 def reference_clear_denominators(e):

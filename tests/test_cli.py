@@ -14,6 +14,7 @@ import nullag.construct
 import nullag.numint
 from nullag import Domain, Verdict, ZERO, equivalent, gamma_from_beta, mul, parse, pow_, to_string
 from nullag.cli import main
+from test_systems import _node_count
 
 
 def run(capsys, *argv):
@@ -321,8 +322,18 @@ def test_eom_reports_keep_residual_and_leading(capsys):
     assert report["eom"]["leading"] == "2*exp(-x*a0)/x'^3/B0"
     _, report, _ = run_json(capsys, "eom", "--L", INERTIA_NONSTANDARD)
     digests = {k: hashlib.sha256(report["eom"][k].encode()).hexdigest()[:16] for k in ("residual", "leading")}
-    assert digests == {"residual": "7ad300737be1aa60", "leading": "0db27fb6e10aba02"}
+    assert digests == {"residual": "6f766a66492dcf34", "leading": "af5c666786113f42"}
     assert report["eom"]["explicit"] == "x'' = 0"
+    # the divisor keeps its factors C1, (a0*t + v0)^2 and the linear one;
+    # inverted after expansion, it gives a residual of 2,143 nodes
+    assert _node_count(parse(report["eom"]["residual"])) <= 200
+
+
+def test_a_power_of_a_sum_verifies_the_same_written_as_a_divisor(capsys):
+    for extra, expected in (((), 0), (("--eps-eq", "0"), 2)):
+        divided = run(capsys, "verify", "1/(x+t)^300*x'", *extra)
+        powered = run(capsys, "verify", "(x+t)^(-300)*x'", *extra)
+        assert divided == powered and divided[0] == expected
 
 
 def test_quadratic_compare_starting_on_the_guard_exits_2(capsys):

@@ -20,6 +20,7 @@ from nullag import (
     Verdict,
     ZERO,
     add,
+    comparison_catalog,
     compose,
     composed_eom,
     conservation_eom,
@@ -41,9 +42,9 @@ from nullag import (
 import nullag.domain
 from nullag.composer import CATALOG
 from nullag.construct import FractionSpec, build_nonstandard_null, build_null, harmonic
-from nullag.expr import const_names
+from nullag.expr import XDDOT, clear_denominators, const_names, diff
 from corpus import catalog_pairs, constant_family, exp_family, numerically_null_pair, tied_family
-from oracles import reference_conservation_residual
+from oracles import reference_conservation_residual, reference_xddot_coefficient
 from test_verdict_path import generating_functions
 
 
@@ -202,6 +203,20 @@ def test_conservation_residual_of_harmonics_is_the_total_derivative(corpus_pairs
         for n in range(4):
             h = harmonic(pair, n)
             assert proven_zero(sub(conservation_eom(h).residual, total_dt(h.body))), (name, n)
+
+
+def test_leading_coefficient_is_the_term_walkers(corpus_pairs):
+    """diff(residual, x'') is the x'' coefficient read off term by term, tree
+    for tree, on the corpus, harmonic, composed and catalog residuals, both
+    as derived and with their denominators cleared."""
+    residuals = [eom.residual for name in ("inertia", "quadratic", "tied")
+                 for eom in comparison_catalog(name).routes().values()]
+    for pair in corpus_pairs.values():
+        residuals += [conservation_eom(harmonic(pair, n)).residual for n in range(3)]
+        residuals += [composed_eom(make(), pair.assembled()).residual for make in CATALOG.values()]
+    for residual in residuals:
+        for e in (residual, clear_denominators(residual)):
+            assert diff(e, XDDOT) == reference_xddot_coefficient(e), to_string(e)
 
 
 def test_solve_leading_requires_linear_acceleration():

@@ -136,6 +136,37 @@ def test_deep_nesting_is_a_parse_error():
             parse("(" * depth + "x" + ")" * depth)
 
 
+def test_a_divisor_keeps_its_factors():
+    a, u, v, w = map(ConstSym, ("a", "u", "v", "w"))
+    assert parse("1/(x+t)^2") == parse("(x+t)^(-2)") == Power(add(X, T), -2)
+    assert parse("a/(u*(v+w)^2)") == mul(a, pow_(u, -1), Power(add(v, w), -2))
+    assert parse("a/(u/v*w^3)^2") == mul(a, pow_(u, -2), pow_(v, 2), pow_(w, -6))
+    # a group holding a sum or a leading sign, or under a fractional
+    # power, is one base: it is inverted as a whole
+    assert parse("1/(x' + 1/2*x)^(1/2)") == Power(add(XDOT, mul(Fraction(1, 2), X)), Fraction(-1, 2))
+    assert parse("1/(-x*u)") == pow_(mul(-1, X, u), -1)
+    assert parse("1/(2*x)^(1/2)") == pow_(pow_(mul(2, X), Fraction(1, 2)), -1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/(", "unexpected end of input (at position 3)"),
+        ("1/(x", "unexpected end of input (at position 4)"),
+        ("1/(x*)", "unexpected token ')' (at position 5)"),
+        ("1/(x*t)'", "derivative marker may only follow x or an opaque function (at position 7)"),
+        ("1/(x/0)", "division by zero"),
+        ("1/(0*x)^(-1)", "division by zero"),
+        ("1/(x - x)^(-1)", "division by zero"),
+        ("1/" + "(" * 250 + "x" + ")" * 250, "expression nested too deeply"),
+    ],
+)
+def test_divisor_edge_inputs_keep_their_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 

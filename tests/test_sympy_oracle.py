@@ -220,3 +220,39 @@ def test_antiderivative_matches_sympy(case):
 def test_print_parse_round_trip_with_functions(raw):
     e = _canonical_or_skip(raw)
     assert parse(to_string(e)) == e
+
+
+_quotient_atoms = st.sampled_from([X, XDOT, T, FuncSym("f1"), ConstSym("a1"), ConstSym("b0")])
+_nonzero = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _sums(draw):
+    """A sum of two distinct atoms with nonzero coefficients, never zero."""
+    (p, q), (m, n) = draw(st.lists(_quotient_atoms, min_size=2, max_size=2, unique=True)), draw(
+        st.tuples(_nonzero, _nonzero)
+    )
+    return add(mul(m, p), mul(n, q))
+
+
+# a factor of the divisor as (base, exponent): an atom or a power of a sum
+_factors = st.one_of(
+    st.tuples(_quotient_atoms, st.integers(1, 2)), st.tuples(_sums(), st.integers(1, 3))
+)
+
+
+def _text(base, q):
+    return f"({to_string(base)})^{q}" if isinstance(base, Sum) else f"{to_string(base)}^{q}"
+
+
+@_oracle
+@given(_trees(1), st.lists(_factors, min_size=1, max_size=3), _sums(), st.integers(1, 3))
+def test_a_quotient_inverts_each_factor_of_its_divisor(raw, u, v, n):
+    """parse of a/(u*v^n), u a product of atoms and powers of sums, is
+    a*u^(-1)*v^(-n) factor by factor, and SymPy agrees on its value."""
+    a = _canonical_or_skip(raw)
+    text = f"({to_string(a)})/({'*'.join(_text(b, q) for b, q in u)}*({to_string(v)})^{n})"
+    e = parse(text)
+    assert e == mul(a, *(pow_(b, -q) for b, q in u), pow_(v, -n)), text
+    divisor = sp.Mul(*(to_sympy(b) ** q for b, q in u)) * to_sympy(v) ** n
+    assert vanishes(to_sympy(e) - to_sympy(a) / divisor), text

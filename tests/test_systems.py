@@ -348,10 +348,13 @@ def test_guards_keep_the_cleared_bases_nonzero():
     inertia = comparison_catalog("inertia").routes()
     quadratic = comparison_catalog("quadratic").routes()
     inertia_guards = inertia["nonstandard"].guards()
+    # read off the factored divisor: C1, a0*t + v0 and the linear factor,
+    # whose product has the zero set of the divisor C1*(a0*t + v0)^2*(...)
     assert Guard(parse("a0*t + v0")) in inertia_guards
-    assert len(inertia_guards) == 2
+    assert len(inertia_guards) == 3 and not any(g.positive for g in inertia_guards)
     product = parse("C1*(a0*t + v0)^2*((a0*t + v0)*x' - a0*x + C2)")
-    assert any(proven_zero(sub(g.expr, product)) and not g.positive for g in inertia_guards)
+    squared = mul(parse("a0*t + v0"), *(g.expr for g in inertia_guards))
+    assert proven_zero(sub(squared, product))
     assert quadratic["nonstandard"].guards() == (Guard(parse("x'*exp(a0*x) + 1")),)
     for routes in (inertia, quadratic):
         assert routes["standard"].guards() == routes["null"].guards() == ()
