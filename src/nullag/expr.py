@@ -46,7 +46,14 @@ reach zero, so a failing proof stops there.
 
 All values are immutable; an operation shares the nodes it keeps.  A node's
 ordering key (sort_key) is computed the first time it is asked for and
-kept in the node's _key slot, so a node must never be mutated.
+kept in the node's _key slot, so a node must never be mutated.  Nodes are
+plain (not frozen) slotted dataclasses, because a frozen dataclass writes
+each field through object.__setattr__ and so takes about four times as long
+to build; a symbolic pass builds hundreds of thousands of nodes.
+Immutability is a contract, checked by tests/test_hygiene.py: no code in
+the package stores a node field, and the one store of _key is sort_key's.
+Pickle and copy go through Expr.__reduce__, which rebuilds a node from its
+fields and never carries _key.
 """
 
 from __future__ import annotations
@@ -86,13 +93,20 @@ class DivisionByZero(ExprError, ZeroDivisionError):
 
 
 class Expr:
-    """Base class of all expression nodes.  Instances are canonical.
+    """Base class of all expression nodes.  Instances are canonical and
+    immutable by contract: the node classes are plain slotted dataclasses,
+    cheaper to build than frozen ones, and the hygiene test forbids any
+    store of a node field.
 
     The one slot, _key, holds the node's ordering key once sort_key has
-    computed it; it is not a dataclass field, so ==, hash, pickle and copy
-    never see it."""
+    computed it; it is not a dataclass field, so == and hash never see it,
+    and __reduce__ rebuilds a node from its fields, so pickle and copy
+    never carry it."""
 
     __slots__ = ("_key",)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -129,7 +143,7 @@ class Expr:
         return to_string(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class Const(Expr):
     """Exact rational constant, an int when integral; build it through
     _coerce (or const)."""
@@ -137,21 +151,21 @@ class Const(Expr):
     value: int | Fraction
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class JetSym(Expr):
     """One of the jet coordinates x, xdot, xddot, xdddot, or time t."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class ConstSym(Expr):
     """Named symbolic constant (zero derivative, optional numeric binding)."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class FuncSym(Expr):
     """order-th time derivative of an opaque function name(t)."""
 
@@ -159,7 +173,7 @@ class FuncSym(Expr):
     order: int = 0
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class Apply(Expr):
     """Elementary function application; func in {exp, ln, sin, cos, abs}."""
 
@@ -167,17 +181,17 @@ class Apply(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class Sum(Expr):
     terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class Product(Expr):
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, repr=False, unsafe_hash=True)
 class Power(Expr):
     base: Expr
     exponent: int | Fraction
@@ -227,12 +241,10 @@ def const(v: Number) -> Expr:
 def sort_key(e: Expr):
     """Deterministic total ordering key over canonical trees, computed once
     per node and kept in its _key slot."""
-    try:
-        return e._key
-    except AttributeError:
-        key = _sort_key(e)
-        object.__setattr__(e, "_key", key)
-        return key
+    key = getattr(e, "_key", None)
+    if key is None:
+        key = e._key = _sort_key(e)
+    return key
 
 
 def _sort_key(e: Expr):

@@ -53,6 +53,11 @@ class _Token:
 
 _OPS = set("+-*/^()")
 
+# the deepest nesting of parenthesized groups (a function's argument among
+# them) that parse accepts; each level takes at most four stack frames, so
+# the limit holds well inside Python's default recursion limit of 1000
+MAX_NESTING = 200
+
 _JET_BY_PRIMES = {0: JetSym("x"), 1: JetSym("xdot"), 2: JetSym("xddot"), 3: JetSym("xdddot")}
 
 
@@ -106,6 +111,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -148,10 +154,10 @@ class _Parser:
         return e
 
     def parse_term(self) -> Expr:
-        e = self.parse_factor()
+        e = self.parse_factor(self.parse_base())
         while self.at_op("*", "/"):
             if self.next().text == "*":
-                e = mul(e, self.parse_factor())
+                e = mul(e, self.parse_factor(self.parse_base()))
             else:
                 e = mul(e, *(pow_(b, -q) for b, q in self.parse_divisor()))
         return e
@@ -164,11 +170,12 @@ class _Parser:
         sign, or is under a fractional power ((u*v)^(1/2) is not
         u^(1/2)*v^(1/2) on the reals), is one base: 1/(x/0) divides by zero."""
         if not self.at_op("("):
-            return [(self.parse_factor(), 1)]
-        self.next()
+            return [(self.parse_factor(self.parse_base()), 1)]
+        tok = self.next()
         if self.at_op("+", "-"):
             self.i -= 1
-            return [(self.parse_factor(), 1)]
+            return [(self.parse_factor(self.parse_base()), 1)]
+        self.open_group(tok)
         pairs = [(self.parse_base(), self.parse_exponent())]
         while self.at_op("*", "/"):
             sign = 1 if self.next().text == "*" else -1
@@ -181,8 +188,9 @@ class _Parser:
             return [(pow_(mul(*(pow_(b, p) for b, p in pairs)), q), 1)]
         return [(b, p * q) for b, p in pairs]
 
-    def parse_factor(self) -> Expr:
-        base = self.parse_base()
+    def parse_factor(self, base: Expr) -> Expr:
+        """base, under the power that follows it if any.  The caller reads
+        base, so that this frame is not one more per level of nesting."""
         return pow_(base, self.parse_exponent()) if self.at_op("^") else base
 
     def parse_exponent(self) -> int | Fraction:
@@ -227,6 +235,7 @@ class _Parser:
         if tok.kind == "NUMBER":
             return const(Fraction(tok.text))
         if tok.kind == "OP" and tok.text == "(":
+            self.open_group(tok)
             e = self.parse_expr()
             self.close_group()
             return e
@@ -234,11 +243,20 @@ class _Parser:
             return self.parse_ident(tok)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
-    def close_group(self) -> None:
+    def open_group(self, tok: _Token) -> None:
+        """Enter the group whose '(' is tok, one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", tok.pos)
+
+    def close_group(self, marked: str = "x or an opaque function") -> None:
+        """Leave the group at its ')', which no derivative marker may follow;
+        marked names what one may follow, for the error."""
         self.expect_op(")")
+        self.depth -= 1
         nxt = self.peek()
         if nxt is not None and nxt.kind == "APOS":
-            raise ParseError("derivative marker may only follow x or an opaque function", nxt.pos)
+            raise ParseError(f"derivative marker may only follow {marked}", nxt.pos)
 
     def parse_ident(self, tok: _Token) -> Expr:
         name = tok.text
@@ -255,11 +273,9 @@ class _Parser:
         if nxt is not None and nxt.kind == "OP" and nxt.text == "(":
             self.next()
             if name in APPLY_FUNCS:
+                self.open_group(nxt)
                 inner = self.parse_expr()
-                self.expect_op(")")
-                after = self.peek()
-                if after is not None and after.kind == "APOS":
-                    raise ParseError("derivative marker may only follow an opaque function of t", after.pos)
+                self.close_group("an opaque function of t")
                 return apply_fn(name, inner)
             arg = self.next()
             if arg.kind != "IDENT" or arg.text != "t":
@@ -282,7 +298,9 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse an expression string to its canonical tree; input that divides
-    by zero (1/0, 0^(-1), x^(1/0)) or nests too deeply raises ParseError."""
+    by zero (1/0, 0^(-1), x^(1/0)) or nests groups more than MAX_NESTING
+    deep raises ParseError.  A caller already deep in the stack can still
+    run out of recursion below that depth: that is the same ParseError."""
     try:
         return _Parser(text).parse()
     except ZeroDivisionError:  # expr.DivisionByZero among them

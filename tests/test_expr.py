@@ -72,6 +72,7 @@ from nullag.expr import (
     const,
     sort_key,
 )
+from nullag.parser import MAX_NESTING
 from oracles import (
     Bindings,
     GuardViolation,
@@ -134,6 +135,21 @@ def test_deep_nesting_is_a_parse_error():
     for depth in (250, 3000):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse("(" * depth + "x" + ")" * depth)
+
+
+@pytest.mark.parametrize(
+    "lead, opening", [("", "("), ("1/", "("), ("", "1/("), ("", "1/(1+"), ("", "exp(")]
+)
+def test_one_nesting_limit_for_every_shape(lead, opening):
+    """A group counts one level however it is read: as a base, as a divisor,
+    as a divisor holding a sum, or as a function's argument."""
+    at_limit = lead + opening * MAX_NESTING + "x" + ")" * MAX_NESTING
+    parse(at_limit)
+    above = lead + opening * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as err:
+        parse(above)
+    position = len(lead) + len(opening) * MAX_NESTING + opening.index("(")
+    assert str(err.value) == f"expression nested too deeply (at position {position})"
 
 
 def test_a_divisor_keeps_its_factors():
@@ -660,6 +676,12 @@ def _check_cached_key(e):
         fresh._key
     assert fresh == e and hash(fresh) == hash(e)
     assert sort_key(fresh) == key and fresh == e and hash(fresh) == hash(e)
+    # a shallow copy is rebuilt from the fields by Expr.__reduce__; copying
+    # the slots instead would carry the key computed above
+    shallow = copy.copy(e)
+    assert shallow == e and hash(shallow) == hash(e)
+    with pytest.raises(AttributeError):
+        shallow._key
     copied = copy.deepcopy(e)
     assert copied == e and sort_key(copied) == key
 

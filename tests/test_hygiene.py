@@ -124,3 +124,83 @@ def test_module_imports_only_at_top_level(module):
 def test_nested_imports_are_found():
     source = "import math\ndef f():\n    from .construct import weighted_B\n    return 1\n"
     assert _nested_imports(source) == ["import in f (line 3)"]
+
+
+# Every field of an expression node, and the slot that caches its sort key.
+NODE_FIELDS = frozenset(
+    ("value", "name", "order", "func", "arg", "terms", "factors", "base", "exponent", "_key")
+)
+# the one store allowed: sort_key caching the key it computed
+KEY_STORE = ("expr.py", "sort_key", "e._key")
+
+
+def _stored_attribute(node: ast.AST) -> str | None:
+    """The attribute node stores, as "target.attr", when it is an assignment
+    or del target, a setattr(...) or an object.__setattr__(...) call; a name
+    that is not a literal reads as <computed>."""
+    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+        return f"{ast.unparse(node.value)}.{node.attr}"
+    if isinstance(node, ast.Call) and len(node.args) >= 2:
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == "setattr") or (
+            isinstance(f, ast.Attribute) and f.attr == "__setattr__"
+        ):
+            name = node.args[1]
+            attr = name.value if isinstance(name, ast.Constant) else "<computed>"
+            return f"{ast.unparse(node.args[0])}.{attr}"
+    return None
+
+
+def _node_field_stores(source: str, module: str) -> list[str]:
+    """Stores of an attribute named after an expression-node field.  Nodes
+    are plain slotted dataclasses, not frozen ones, so nothing stops such a
+    store at run time; a changed node would keep a stale cached key and a
+    stale hash.  The only store allowed is KEY_STORE."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            stored = _stored_attribute(child)
+            if stored is not None and (module, where, stored) != KEY_STORE:
+                attr = stored.rpartition(".")[2]
+                if attr in NODE_FIELDS or attr == "<computed>":
+                    found.append(f"{stored} in {where} (line {child.lineno})")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_code_stores_a_node_field(module):
+    assert _node_field_stores((PACKAGE / module).read_text(), module) == []
+
+
+def test_node_field_stores_are_found():
+    source = (
+        "def f(e, pair, k):\n"
+        "    e.value = 1\n"
+        "    e.terms += (k,)\n"
+        "    setattr(e, 'name', 'y')\n"
+        "    object.__setattr__(e, '_key', k)\n"
+        "    setattr(e, k, 0)\n"
+        "    e.certificate = object.__setattr__(pair, 'certificate', k)\n"
+        "def sort_key(e):\n"
+        "    key = e._key = 2\n"
+        "    e.base = key\n"
+    )
+    assert _node_field_stores(source, "expr.py") == [
+        "e.value in f (line 2)",
+        "e.terms in f (line 3)",
+        "e.name in f (line 4)",
+        "e._key in f (line 5)",
+        "e.<computed> in f (line 6)",
+        "e.base in sort_key (line 10)",
+    ]
+    assert _node_field_stores(source, "variational.py")[-2:] == [
+        "e._key in sort_key (line 9)",
+        "e.base in sort_key (line 10)",
+    ]
