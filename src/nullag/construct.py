@@ -2,10 +2,13 @@
 
 A generating function B(x, t) determines a displacement coefficient C(x, t)
 through the condition d(xC)/dx = dB/dt; the assembled B*xdot + C*x + f(t)
-is then null.  Binomial-weighted sums of spatial derivatives produce the
-higher harmonics, and fractional generating functions f1/(f2*x + f3*t + f4)
-produce the non-standard family, whose C-part needs antiderivatives of
-powers of linear forms and yields a logarithmic term.
+is then null.  Solving for C proves the null-condition residual
+dB/dt - d(xC)/dx zero, and a constructed pair is certified on that residual,
+judged once by null_report, so B and xC are differentiated once each.
+Binomial-weighted sums of spatial derivatives produce the higher harmonics,
+and fractional generating functions f1/(f2*x + f3*t + f4) produce the
+non-standard family, whose C-part needs antiderivatives of powers of linear
+forms and yields a logarithmic term.
 
 Antidifferentiation is supported on the closed class used by these
 constructions (powers, exponentials with linear or logarithmic arguments,
@@ -89,19 +92,25 @@ def antiderivative(e: Expr, var: JetSym) -> Expr:
     Works term by term on the canonical sum-of-monomials form; every output
     is verified by differentiation before being returned.
     """
+    result = _integral(e, var)
+    check = sub(diff(result, var), e)
+    if not ex.proven_zero(check):
+        raise _self_check_failed(e, check)
+    return result
+
+
+def _integral(e: Expr, var: JetSym) -> Expr:
+    """The term-by-term antiderivative of e, not yet verified."""
     if var not in (X, T):
         raise ValueError("antiderivative variable must be x or t")
     terms = e.terms if isinstance(e, Sum) else (e,)
-    parts = []
-    for term in terms:
-        parts.append(_antiderivative_term(term, var))
-    result = add(*parts) if parts else ZERO
-    check = sub(diff(result, var), e)
-    if not ex.proven_zero(check):
-        raise NullCertificationFailed(
-            f"antiderivative self-check failed for {to_string(e)}: residue {to_string(check)}"
-        )
-    return result
+    return add(*(_antiderivative_term(term, var) for term in terms))
+
+
+def _self_check_failed(e: Expr, check: Expr) -> NullCertificationFailed:
+    return NullCertificationFailed(
+        f"antiderivative self-check failed for {to_string(e)}: residue {to_string(check)}"
+    )
 
 
 def _antiderivative_term(term: Expr, var: JetSym) -> Expr:
@@ -209,9 +218,22 @@ def solve_C(B: Expr) -> Expr:
     """Displacement coefficient C with d(xC)/dx = dB/dt.
 
     The additive function of t in xC is fixed to zero.  C may carry a g(t)/x
-    term; the assembled C*x stays regular at x = 0.
+    term; the assembled C*x stays regular at x = 0.  xC is verified by
+    proving the null condition dB/dt - d(xC)/dx zero.
     """
-    return mul(antiderivative(diff(B, T), X), pow_(X, -1))
+    return _solved(B)[0]
+
+
+def _solved(B: Expr) -> tuple[Expr, Expr]:
+    """C and the null-condition residual dB/dt - d(xC)/dx that proves it,
+    the tree null_condition_residual(B, C) gives: dB/dt is integrated term
+    by term to xC, and the residual is the antiderivative's self-check."""
+    B_t = diff(B, T)
+    xC = _integral(B_t, X)
+    residual = sub(B_t, diff(xC, X))
+    if not ex.proven_zero(residual):
+        raise _self_check_failed(B_t, ex.neg(residual))
+    return mul(xC, pow_(X, -1)), residual
 
 
 def build_null(
@@ -221,8 +243,10 @@ def build_null(
     *,
     seed: int = 0,
 ) -> NullPair:
-    """Certified NullPair generated by B with additive time term f."""
-    return NullPair.certified(B, solve_C(B), f, domain, seed=seed)
+    """Certified NullPair generated by B with additive time term f, judged
+    on the residual that solving for C proved."""
+    C, residual = _solved(B)
+    return NullPair.judged(B, C, f, domain, residual, seed=seed)
 
 
 def weighted_B(e: Expr, n: int) -> Expr:
@@ -333,7 +357,8 @@ def build_nonstandard_null(
     if guard not in domain.guards:
         domain = domain.with_guards(guard)
     B = mul(spec.f1, pow_(D, -1))
-    return NullPair.certified(B, solve_C(B), f, domain, seed=seed)
+    C, residual = _solved(B)
+    return NullPair.judged(B, C, f, domain, residual, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,13 @@ class NullPair:
 
     B is the velocity coefficient, C the displacement coefficient (both over
     x and t), f a function of t alone.  Certification happens at
-    construction via `certified`, which judges the null condition
-    dB/dt - d(xC)/dx and keeps the NullReport that decided it as
-    `certificate`; its residual is the Euler-Lagrange residual of the
-    assembled Lagrangian.  Direct construction skips it (certificate None).
+    construction: `judged` maps the null-condition residual
+    dB/dt - d(xC)/dx through null_report once and keeps the NullReport
+    that decided it as `certificate`; its residual is the Euler-Lagrange
+    residual of the assembled Lagrangian.  A constructed pair is judged on
+    the residual its construction already proved zero while solving for C;
+    `certified` computes that residual for a given (B, C).  Direct
+    construction skips it (certificate None).
     """
 
     B: Expr
@@ -125,12 +128,29 @@ class NullPair:
         *,
         seed: int = 0,
     ) -> "NullPair":
+        """The pair judged on its null-condition residual, computed here."""
+        return cls.judged(B, C, f, domain, null_condition_residual(B, C), seed=seed)
+
+    @classmethod
+    def judged(
+        cls,
+        B: Expr,
+        C: Expr,
+        f: Expr,
+        domain: Domain,
+        residual: Expr,
+        *,
+        seed: int = 0,
+    ) -> "NullPair":
+        """The pair judged on residual, which must be the tree
+        null_condition_residual(B, C) gives: a construction that has
+        already formed it passes it here rather than have it recomputed."""
         for name, e, allowed in (("B", B, {"x", "t"}), ("C", C, {"x", "t"}), ("f", f, {"t"})):
             require_support(e, allowed, name)
         # the null-condition residual is the Euler-Lagrange residual of
         # B*xdot + C*x + f, tree for tree, so this one verdict certifies both
         # and the Lagrangian is not assembled for it
-        report = null_report(null_condition_residual(B, C), domain, seed=seed)
+        report = null_report(residual, domain, seed=seed)
         if not report:
             raise NullCertificationFailed(
                 f"null condition violated: dB/dt - d(xC)/dx = {to_string(report.residual)}; "

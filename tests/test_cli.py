@@ -658,6 +658,21 @@ def test_failed_antiderivative_self_check_is_a_verification_failure(capsys, monk
     assert "Traceback" not in err
 
 
+def test_failed_fraction_self_check_is_a_verification_failure(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(nullag.construct, "_antiderivative_term", lambda term, var: ZERO)
+    record = {"kind": "fraction", "f1": "f1(t)", "f2": "f2(t)", "f3": "f3(t)", "f4": "f4(t)"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([record]))
+    code, out, err = run(capsys, "derive", "--spec-file", str(spec))
+    assert code == 2
+    assert out == ""
+    # a batch error names its record before the failure
+    assert err.startswith(
+        f"verification failure: spec record {json.dumps(record)}: antiderivative self-check failed"
+    )
+    assert "Traceback" not in err
+
+
 _K = st.sampled_from(["1", "2", "-1", "1/2", "-3/4"])
 
 

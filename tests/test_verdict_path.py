@@ -9,13 +9,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import nullag.expr as expr
 import nullag.variational as variational
 from corpus import catalog_pairs, numerically_null_pair
 from nullag.cli import main
 from nullag.composer import conservation_eom
-from nullag.construct import AntiderivativeUnsupported, build_null, harmonic, solve_C, weighted_B
+from nullag.construct import (
+    AntiderivativeUnsupported,
+    FractionSpec,
+    build_nonstandard_null,
+    build_null,
+    harmonic,
+    solve_C,
+    weighted_B,
+)
 from nullag.equivalence import Verdict, equivalent
-from nullag.expr import T, X, XDOT, ZERO, add, diff, mul, sub, total_dt
+from nullag.expr import T, X, XDOT, ZERO, FuncSym, add, diff, mul, pow_, sub, total_dt
 from nullag.parser import parse
 from nullag.variational import (
     NullPair,
@@ -38,6 +47,39 @@ _terms = st.tuples(
 generating_functions = st.lists(_terms, min_size=1, max_size=3).map(
     lambda terms: " + ".join(f"({c})*{time}*{space}" for c, time, space in terms)
 )
+
+
+# f1..f4 of the two fraction families of the corpus, each times a drawn rational:
+# opaque f1(t)..f4(t), and constant a1, a2, 0, a4
+_scale = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+fraction_specs = st.one_of(
+    st.tuples(_scale, _scale, _scale, _scale).map(
+        lambda c: FractionSpec(*(mul(k, FuncSym(f"f{i}")) for i, k in enumerate(c, 1)))
+    ),
+    st.tuples(_scale, _scale, _scale).map(
+        lambda c: FractionSpec(mul(c[0], parse("a1")), mul(c[1], parse("a2")), ZERO,
+                               mul(c[2], parse("a4")))
+    ),
+)
+_additive = st.sampled_from(("0", "f4(t)", "t^2"))
+
+
+@given(generating_functions, _additive)
+def test_constructed_certificate_is_the_null_condition_of_solve_C(text, f):
+    B = parse(text)
+    C = solve_C(B)
+    pair = build_null(B, parse(f))
+    assert pair.C == C
+    assert pair.certificate.residual == null_condition_residual(B, C)
+
+
+@given(fraction_specs, _additive)
+def test_constructed_certificate_is_the_null_condition_of_solve_C_on_fraction_specs(spec, f):
+    pair = build_nonstandard_null(spec, parse(f))
+    B = mul(spec.f1, pow_(spec.denominator(), -1))
+    C = solve_C(B)
+    assert pair.B == B and pair.C == C
+    assert pair.certificate.residual == null_condition_residual(B, C)
 
 
 def test_null_condition_is_the_euler_lagrange_residual_on_the_corpus(corpus_pairs):
@@ -107,6 +149,43 @@ def test_each_nullity_verdict_is_decided_once(verdict_calls, capsys, argv, decid
     assert main(argv + ["--json"]) == 0
     capsys.readouterr()
     assert len(verdict_calls) == decided
+
+
+@pytest.fixture
+def derive_walks(monkeypatch):
+    """The tree of every top-level walk of the one derivation walker,
+    expr._derive (each diff and total_dt); its recursive calls are not
+    counted."""
+    walks = []
+    real = expr._derive
+    depth = 0
+
+    def counted(e, atom):
+        nonlocal depth
+        if depth == 0:
+            walks.append(e)
+        depth += 1
+        try:
+            return real(e, atom)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(expr, "_derive", counted)
+    return walks
+
+
+def test_a_constructed_pair_is_differentiated_once(derive_walks):
+    # dB/dt and d(xC)/dx once each: the residual solving for C proved is the
+    # certificate, so certification derives nothing again
+    B, f = parse("f1(t)*x + f2(t)*t + f3(t)"), parse("f4(t)")
+    derive_walks.clear()
+    build_null(B, f)
+    assert len(derive_walks) == 2
+    # the fraction family adds the linear parts of its denominator's powers
+    spec = FractionSpec(FuncSym("f1"), FuncSym("f2"), FuncSym("f3"), FuncSym("f4"))
+    derive_walks.clear()
+    build_nonstandard_null(spec, parse("f(t)"))
+    assert len(derive_walks) == 7
 
 
 def test_certificate_is_the_report_the_cli_prints(capsys):
