@@ -97,7 +97,6 @@ from .composer import (
     Composer,
     EquationOfMotion,
     LeadingCoefficientVanishes,
-    RangeGuardViolated,
     compose,
     composed_eom,
     conservation_eom,

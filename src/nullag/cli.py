@@ -236,7 +236,7 @@ def cmd_eom(args, report: dict) -> bool:
         report["source"] = {"lagrangian": to_string(L.body)}
     if args.compose:
         F = _composer(args.compose)
-        # raises RangeGuardViolated when F's range guards leave no feasible point
+        # raises InfeasibleDomainError when F's range guards leave no feasible point
         compose(F, L, seed=args.seed)
         eom = composed_eom(F, L)
         report["composer"] = F.name

@@ -34,6 +34,7 @@ from .domain import (
     DEFAULT_DOMAIN,
     Domain,
     Guard,
+    InfeasibleDomainError,
     collect_guards,
     instantiation_rounds,
     sample_points,
@@ -68,10 +69,6 @@ from .variational import (
 )
 
 _SLOT = ConstSym("_lambda_")
-
-
-class RangeGuardViolated(ex.ExprError):
-    """Composition guard makes the domain infeasible."""
 
 
 class LeadingCoefficientVanishes(ex.ExprError):
@@ -153,7 +150,7 @@ def _composed_domain(F: Composer, L: Lagrangian) -> Domain:
 def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
     """Lagrangian F(L.body) on _composed_domain(F, L).
 
-    Raises RangeGuardViolated when the range guards leave no feasible
+    Raises InfeasibleDomainError when the range guards leave no feasible
     sample points in any instantiation round of the opaque functions,
     carrying a violating point as witness.
     """
@@ -175,7 +172,7 @@ def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
             witness = {**sample.witness(row), "inner_value": float(inner(*row))}
         except (ex.ExprError, ArithmeticError, ValueError):
             pass
-        raise RangeGuardViolated(
+        raise InfeasibleDomainError(
             f"range guard of {F.name} leaves no feasible points; witness {witness}"
         )
     return composed

@@ -11,7 +11,8 @@ generic nonvanishing factors stay generic.
 
 `Sample`, which `sample_points` returns, is the one point format of the
 numeric checks, and `instantiation_rounds` the one rule for the opaque
-functions they instantiate: those of the expressions and the domain guards.
+functions they instantiate (those of the expressions and the domain
+guards); `sample_points` alone instantiates them.
 """
 
 from __future__ import annotations
@@ -142,18 +143,18 @@ def guard_source(
     guards: Iterable[Guard],
     args: Iterable[str | ConstSym],
     *,
-    funcs: dict[str, Expr] | None = None,
     constants: dict[str, float] | None = None,
     names: dict[str, str] | None = None,
 ) -> str:
     """Python source of one `and` expression over args that checks the
     guards and the structural guards (collect_guards) inside their
     expressions, each expression once: EPS_GUARD <= |g| < inf, or
-    EPS_GUARD <= g < inf for a positive guard.  names is passed to _pysrc;
-    the source needs math and inf (expr.define provides both).  An atom of
-    a guard that is not in args raises UnboundSymbolError."""
+    EPS_GUARD <= g < inf for a positive guard.  constants and names are
+    passed to bound_body and _pysrc; the source needs math and inf
+    (expr.define provides both).  An atom of a guard that is not in args,
+    an opaque function included, raises UnboundSymbolError."""
     args = tuple(args)
-    found = unique_guards(Guard(ex.instantiate(g.expr, funcs), g.positive) for g in guards)
+    found = unique_guards(guards)
     checks = []
     for g in unique_guards(found + tuple(s for g in found for s in collect_guards(g.expr))):
         value = _pysrc(ex.bound_body(g.expr, args, constants=constants), names)
@@ -164,15 +165,12 @@ def guard_source(
 def guard_predicate(
     guards: Iterable[Guard],
     args: Iterable[str | ConstSym],
-    *,
-    funcs: dict[str, Expr] | None = None,
-    constants: dict[str, float] | None = None,
 ) -> Callable[..., bool]:
-    """guard_source compiled to a predicate of args.  An arithmetic error
-    counts as a failed guard.  This and the integrator, which inlines the
-    same source, are the only places guards are evaluated."""
+    """guard_source of the bound guards compiled to a predicate of args.  An
+    arithmetic error counts as a failed guard.  This and the integrator,
+    which inlines the same source, are the only places guards are evaluated."""
     args = tuple(args)
-    test = guard_source(guards, args, funcs=funcs, constants=constants)
+    test = guard_source(guards, args)
     return ex.define(
         f"def f({ex.signature(args)}):\n"
         f"    try:\n"

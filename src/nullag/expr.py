@@ -902,15 +902,12 @@ def bound_body(
     e: Expr,
     args: Iterable[str | ConstSym],
     *,
-    funcs: Mapping[str, Expr] | None = None,
     constants: Mapping[str, Number] | None = None,
 ) -> Expr:
-    """e with the opaque functions and the given constants substituted, ready
-    for _pysrc; any atom left over that is not in args raises
-    UnboundSymbolError."""
-    body = instantiate(e, funcs)
-    if constants:
-        body = bind_constants(body, constants)
+    """e with the given constants substituted, ready for _pysrc; any atom
+    left over that is not in args, an opaque function included (its caller
+    instantiates it), raises UnboundSymbolError."""
+    body = bind_constants(e, constants) if constants else e
     params = _params(args)
     leftover = free_atoms(body) - set(params)
     if leftover:
@@ -929,20 +926,17 @@ def define(src: str, **env) -> Callable:
 
 def compile_expr(
     e: Expr,
-    args: Iterable[str | ConstSym] = ("x", "xdot", "t"),
-    *,
-    funcs: Mapping[str, Expr] | None = None,
-    constants: Mapping[str, Number] | None = None,
+    args: Iterable[str | ConstSym],
 ) -> Callable[..., float]:
     """Compile an expression to a float-returning Python function of args,
     which are jet names or ConstSym atoms (named constants as arguments).
 
-    Opaque functions and the given constants are substituted first; any atom
-    left over that is not in args raises UnboundSymbolError.  Arithmetic
-    errors (ZeroDivisionError, OverflowError, ValueError) reach the caller.
+    e is evaluated as its caller bound it: any atom that is not in args, an
+    opaque function included, raises UnboundSymbolError.  Arithmetic errors
+    (ZeroDivisionError, OverflowError, ValueError) reach the caller.
     """
     args = tuple(args)
-    body = bound_body(e, args, funcs=funcs, constants=constants)
+    body = bound_body(e, args)
     return define(f"def f({signature(args)}):\n    return {_pysrc(body)}\n")
 
 

@@ -216,12 +216,25 @@ def invariant_values(
     *,
     constants: dict | None = None,
 ) -> tuple[float, ...]:
-    """Value of the assembled null Lagrangian at each trajectory point."""
+    """Value of the assembled null Lagrangian at each trajectory point.  As in
+    integrate, an overflow raises NonFiniteState and an undefined value
+    DomainExit, with the time of the first row whose value fails."""
     body = bound_body(pair.assembled().body, _JETS, constants=constants)
     # a body with a jet is a float on float columns; a constant one may be an int
     value = _pysrc(body) if ex.free_atoms(body) else f"float({_pysrc(body)})"
     values = define(f"def f(xs, vs, ts):\n    return [{value} for x, xdot, t in zip(xs, vs, ts)]\n")
-    return tuple(values(traj.x, traj.v, traj.t))
+    try:
+        return tuple(values(traj.x, traj.v, traj.t))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        # only on this path is the failing row looked for, one row at a time
+        for x, v, t in zip(traj.x, traj.v, traj.t):
+            try:
+                values((x,), (v,), (t,))
+            except OverflowError:
+                raise NonFiniteState(f"L_null overflowed at t={t:g}", t) from None
+            except (ZeroDivisionError, ValueError) as err:
+                raise DomainExit(f"L_null undefined ({err}) at t={t:g}", t) from None
+        raise
 
 
 def drift(

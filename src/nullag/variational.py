@@ -298,19 +298,18 @@ def action(
     path: Path,
     *,
     panels: int = ACTION_PANELS,
-    funcs: dict[str, Expr] | None = None,
-    constants: dict[str, float] | None = None,
 ) -> float:
-    """Composite-Simpson value of the action integral along the path.
+    """Composite-Simpson value of the action integral along the path, of L
+    as its caller bound it (see compile_expr).
 
     For a certified null Lagrangian with gauge function phi this equals
     phi(x(t1), t1) - phi(x(t0), t0) up to quadrature error.  A panel point
     outside the guards or where the integrand is undefined raises DomainExit
     with its time; overflow raises EvaluationError.
     """
-    fn = compile_expr(L.body, ("x", "xdot", "t"), funcs=funcs, constants=constants)
+    fn = compile_expr(L.body, ("x", "xdot", "t"))
     guards = L.domain.guards
-    inside = guard_predicate(guards, ("x", "xdot", "t"), funcs=funcs, constants=constants)
+    inside = guard_predicate(guards, ("x", "xdot", "t"))
 
     def integrand(t: float) -> float:
         xv, vv = path.x(t), path.xdot(t)
@@ -354,18 +353,15 @@ def path_independence_check(
     path_a: Path,
     path_b: Path,
     *,
-    eps: float = EPS_ACT,
     panels: int = ACTION_PANELS,
-    funcs: dict[str, Expr] | None = None,
-    constants: dict[str, float] | None = None,
 ) -> PathIndependenceReport:
-    """Compare the action along two paths sharing both endpoints."""
+    """Compare the action along two paths sharing both endpoints, at EPS_ACT."""
     if path_a.t0 != path_b.t0 or path_a.t1 != path_b.t1:
         raise ValueError("paths must share the time interval")
     for t in (path_a.t0, path_a.t1):
         if abs(path_a.x(t) - path_b.x(t)) > 1e-10:
             raise ValueError(f"paths must share endpoints; mismatch at t={t:g}")
-    a = action(L, path_a, panels=panels, funcs=funcs, constants=constants)
-    b = action(L, path_b, panels=panels, funcs=funcs, constants=constants)
+    a = action(L, path_a, panels=panels)
+    b = action(L, path_b, panels=panels)
     d = abs(a - b)
-    return PathIndependenceReport(a, b, d, eps, panels, d <= eps)
+    return PathIndependenceReport(a, b, d, EPS_ACT, panels, d <= EPS_ACT)

@@ -5,6 +5,8 @@
 `sample_bindings` reads them off the rows of a `nullag.domain.Sample`.  `reference_integrate` is the
 RK4 loop written out over a compiled right-hand side and guard predicate;
 the generated stepper of `integrate` must match it bit for bit.
+`bound(L, funcs=..., constants=...)` substitutes a Lagrangian's opaque
+functions and constants, in its body and guards, before the action check.
 `reference_write_csv` is the CSV writer that formats every value of every
 row; `write_csv`, which formats each distinct L_null value once, must write
 the same bytes.
@@ -48,8 +50,12 @@ from nullag import (
     XDDOT,
     XDOT,
     ZERO,
+    Domain,
+    Guard,
+    Lagrangian,
     add,
     apply_fn,
+    bind_constants,
     compile_expr,
     diff,
     free_atoms,
@@ -235,12 +241,25 @@ def check_total_dt_against_fd(e, *, funcs=None, constants=None, n_points=20, see
         )
 
 
+def _bind(e, *, funcs=None, constants=None):
+    return bind_constants(instantiate(e, funcs), constants or {})
+
+
+def bound(L, *, funcs=None, constants=None):
+    """L with funcs instantiated and constants bound in its body and in the
+    guards of its domain: a Lagrangian that the action check evaluates."""
+    binding = {"funcs": funcs, "constants": constants}
+    guards = tuple(Guard(_bind(g.expr, **binding), g.positive) for g in L.domain.guards)
+    return Lagrangian(_bind(L.body, **binding), Domain(L.domain.x, L.domain.t, guards))
+
+
 def reference_integrate(ivp):
     """Classical RK4 over compile_expr(g), checking guard_predicate at t0 and
-    after each step; the same exits, with the same times, as integrate."""
-    g = compile_expr(ivp.g, ("x", "xdot", "t"), constants=ivp.constants)
-    guards = ivp.guards
-    inside = guard_predicate(guards, ("x", "xdot", "t"), constants=ivp.constants)
+    after each step; the same exits, with the same times, as integrate.  It
+    binds ivp.constants in g and in the guards itself."""
+    g = compile_expr(_bind(ivp.g, constants=ivp.constants), ("x", "xdot", "t"))
+    guards = tuple(Guard(_bind(gd.expr, constants=ivp.constants), gd.positive) for gd in ivp.guards)
+    inside = guard_predicate(guards, ("x", "xdot", "t"))
     t0, x0, v0, t1, step = float(ivp.t0), float(ivp.x0), float(ivp.v0), float(ivp.t1), float(ivp.h)
     if guards and not inside(x0, v0, t0):
         raise DomainExit(f"initial state lies outside the guarded domain at t={t0:g}", t0)

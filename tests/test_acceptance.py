@@ -49,6 +49,7 @@ from nullag import (
 from nullag.expr import T, X
 from nullag.audit import run_audits
 
+from oracles import bound
 from test_construct import random_generating_function
 
 TWO_OVER_E = 0.7357588823428847
@@ -226,18 +227,18 @@ def test_criterion_7_path_independence(corpus_pairs):
         "tied": {"constants": {"B0": 1.0, "b0": 2.0}},
     }
     for name, binding in concrete.items():
-        L = corpus_pairs[name].assembled()
+        L = bound(corpus_pairs[name].assembled(), **binding)
         for _ in range(10):
             base = line_path(0.0, 1.0, rng.uniform(0.6, 1.0), rng.uniform(1.2, 1.8))
             bumped = with_bump(base, rng.uniform(0.02, 0.1), rng.choice((1, 2, 3)))
-            rep = path_independence_check(L, base, bumped, eps=1e-7, panels=2000, **binding)
-            assert rep.passed, (name, rep.difference)
+            rep = path_independence_check(L, base, bumped, panels=2000)
+            assert rep.passed and rep.eps == 1e-7, (name, rep.difference)
     kinetic = Lagrangian(parse("1/2*x'^2"))
     worst = 0.0
     for _ in range(10):
         base = line_path(0.0, 1.0, rng.uniform(0.6, 1.0), rng.uniform(1.2, 1.8))
         bumped = with_bump(base, rng.uniform(0.02, 0.1), rng.choice((1, 2, 3)))
-        rep = path_independence_check(kinetic, base, bumped, eps=1e-7, panels=2000)
+        rep = path_independence_check(kinetic, base, bumped, panels=2000)
         worst = max(worst, rep.difference)
     assert worst > 1e-3
     print("\nACCEPTANCE 7 (path independence): PASS")

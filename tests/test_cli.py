@@ -272,6 +272,10 @@ def test_reports_are_deterministic_given_seed(capsys):
         ("compare", "--system", "inertia", "--ic", "0,1,0", "--t1", "1"),
         ("simulate", "--system", "quadratic", "--a0", "1", "--ic", "0,0,-2", "--t1", "1"),
         ("eom", "--B", "0", "--compose", "ln"),
+        # L_null overflows: exp(t) past t = 709.78, exp(x) at x0 = 1e300, B0 = 1e400 at t0
+        ("simulate", "--system", "tied", "--ic=0,1,0", "--t1", "1500", "--h", "0.01"),
+        ("simulate", "--system", "quadratic", "--ic=0,1e300,1", "--t1", "1"),
+        ("simulate", "--system", "inertia", "--ic=0,1,0", "--t1", "1", "--B0", "1e400"),
         ("verify", "x'^2*x + exp(exp(exp(exp(exp(x)))))"),  # every sampled point overflows
         # x^999999 overflows for x > 1: too few points are left to decide
         ("verify", "x^1000000"),
@@ -582,11 +586,33 @@ def _command_lines(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_command_lines())
+_IC_VALUES = st.sampled_from(["0", "1", "-1", "1e300", "-1e300"])
+_COEFFICIENTS = st.sampled_from(["0", "1/3", "2", "1e-400", "1e400"])
+
+
+@st.composite
+def _simulation_lines(draw) -> list[str]:
+    """simulate or compare of a catalog system from a drawn initial state
+    with drawn coefficients, to t1 = 1 at the default step; simulate also to
+    t1 = 1500 at h = 0.01, where exp(t) of the tied L_null overflows.  t0 is
+    0 or -1, since a t0 at or past t1 only reaches the horizon check."""
+    command = draw(st.sampled_from(["simulate", "compare"]))
+    system = draw(st.sampled_from(["inertia", "quadratic", "tied"]))
+    ic = ",".join((draw(st.sampled_from(["0", "-1"])), draw(_IC_VALUES), draw(_IC_VALUES)))
+    flags = ("--B0", "--a0", "--beta0") if command == "simulate" else ("--a0", "--beta0")
+    argv = [command, f"--system={system}", f"--ic={ic}", *(f"{f}={draw(_COEFFICIENTS)}" for f in flags)]
+    if command == "simulate" and draw(st.booleans()):
+        return [*argv, "--t1=1500", "--h=0.01"]
+    return [*argv, "--t1=1"]
+
+
+# 200 examples: about half are simulate/compare lines, of which a few reach
+# an L_null that overflows
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines() | _simulation_lines())
 def test_drawn_command_lines_never_raise(capsys, argv):
-    """Whatever expressions they hold, these commands end in a documented
-    exit code, never in a traceback."""
+    """Whatever expressions, initial conditions and coefficients they hold,
+    these commands end in a documented exit code, never in a traceback."""
     assert main([*argv, "--json"]) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
 

@@ -10,13 +10,13 @@ from nullag import (
     Composer,
     DomainExit,
     Guard,
+    InfeasibleDomainError,
     Lagrangian,
     LeadingCoefficientVanishes,
     NullCertificationFailed,
     NullPair,
     NullVerdict,
     ParseError,
-    RangeGuardViolated,
     Verdict,
     ZERO,
     add,
@@ -68,7 +68,7 @@ def test_compose_reciprocal_builds_quadratic_damping_nonstandard_form():
 def test_compose_infeasible_range_guard_raises_with_witness():
     # exp(x) + 3 is bounded below by 3 on the box; ln of -(that) infeasible
     L = Lagrangian(parse("-exp(x) - 3"))
-    with pytest.raises(RangeGuardViolated) as err:
+    with pytest.raises(InfeasibleDomainError) as err:
         compose(Composer.ln(), L)
     assert "witness" in str(err.value)
 
@@ -366,7 +366,7 @@ def test_user_composer_equation_of_motion_is_euler_lagrange_of_the_composition(b
     L = Lagrangian(parse(lagrangian))
     try:
         composed = compose(F, L)
-    except RangeGuardViolated:
+    except InfeasibleDomainError:
         return
     rep = equivalent(composed_eom(F, L).residual, euler_lagrange_residual(composed), composed.domain, seed=1)
     assert rep.verdict is not Verdict.DISTINCT, (body, lagrangian, rep.witness)

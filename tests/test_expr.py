@@ -564,7 +564,7 @@ def test_compile_expr_matches_evaluate(corpus_pairs):
 
 
 def test_compiled_fractional_power_of_negative_base_raises():
-    fn = compile_expr(parse("x^(1/2)"))
+    fn = compile_expr(parse("x^(1/2)"), ("x", "xdot", "t"))
     assert fn(4.0, 0.0, 0.0) == 2.0
     with pytest.raises(ValueError):
         fn(-2.0, 0.0, 0.0)

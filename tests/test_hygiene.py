@@ -204,3 +204,52 @@ def test_node_field_stores_are_found():
         "e._key in sort_key (line 9)",
         "e.base in sort_key (line 10)",
     ]
+
+
+# the one caller allowed: the sampler instantiates the opaque functions of
+# every numeric check; the evaluators take what their caller bound
+INSTANTIATOR = ("domain.py", "sample_points")
+
+
+def _instantiate_calls(source: str, module: str) -> list[str]:
+    """Calls of instantiate(...) or <module>.instantiate(...) outside
+    INSTANTIATOR, by the innermost function they are in."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (module, where) != INSTANTIATOR:
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "instantiate":
+                    found.append(f"instantiate in {where} (line {child.lineno})")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_the_sampler_instantiates_opaque_functions(module):
+    assert _instantiate_calls((PACKAGE / module).read_text(), module) == []
+
+
+def test_instantiate_calls_are_found():
+    source = (
+        "g = instantiate(e, None)\n"
+        "def sample_points(e, funcs):\n"
+        "    return ex.instantiate(e, funcs)\n"
+        "def bound_body(e, funcs):\n"
+        "    def leaf(a):\n"
+        "        return instantiate(a, funcs)\n"
+        "    return ex.instantiate(e, funcs), instantiated(e), instantiation_rounds([e])\n"
+    )
+    assert _instantiate_calls(source, "domain.py") == [
+        "instantiate in <module> (line 1)",
+        "instantiate in leaf (line 6)",
+        "instantiate in bound_body (line 7)",
+    ]
+    assert _instantiate_calls(source, "expr.py")[1] == "instantiate in sample_points (line 3)"

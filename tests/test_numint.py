@@ -173,6 +173,31 @@ def test_drift_keeps_a_nan_invariant_value():
     assert math.isnan(rep.max_abs_drift) and not rep.passed
 
 
+@pytest.mark.parametrize(
+    "f, error, t",
+    [
+        ("exp(1000*t)", NonFiniteState, 1.0),  # exp(500) is finite, exp(1000) overflows
+        ("(t - 2)^(-1)", DomainExit, 2.0),  # ZeroDivisionError
+        ("ln(2 - t)", DomainExit, 2.0),  # ValueError
+    ],
+)
+def test_invariant_value_errors_carry_the_time_of_the_first_failing_row(f, error, t):
+    traj = Trajectory((0.5, 1.0, 1.5, 2.0, 2.5), (1.0,) * 5, (0.0,) * 5, 0.5)
+    with pytest.raises(error) as err:
+        invariant_values(NullPair(ZERO, ZERO, parse(f)), traj)
+    assert err.value.t == t
+
+
+def test_tied_invariant_overflow_carries_its_time():
+    """B0*exp(t)*(x + x') of the tied oscillator overflows once t passes
+    ln(max float) = 709.78..., at the grid time 709.79."""
+    case = classify_constant(0, 2, 1)
+    traj = integrate(case.eom.ivp(0.0, 1.0, 0.0, 710.0, 0.01, constants={"B0": 1}))
+    with pytest.raises(NonFiniteState) as err:
+        invariant_values(case.null_pair, traj, constants={"B0": 1})
+    assert err.value.t == traj.t[70979] == pytest.approx(709.79, abs=1e-9)
+
+
 def test_step_count_is_capped():
     IVP(_tied_g(), 0.0, 1.0, 0.0, MAX_STEPS / 1024, 1 / 1024, constants={"B0": 1.0})
     with pytest.raises(ValueError, match="MAX_STEPS"):

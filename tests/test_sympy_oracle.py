@@ -20,7 +20,10 @@ from nullag import (  # noqa: E402
     Const,
     ConstSym,
     FuncSym,
+    InfeasibleDomainError,
     JetSym,
+    Lagrangian,
+    NullVerdict,
     Power,
     Product,
     Sum,
@@ -33,6 +36,7 @@ from nullag import (  # noqa: E402
     apply_fn,
     canonicalize,
     diff,
+    is_null,
     mul,
     parse,
     pow_,
@@ -126,12 +130,12 @@ _consts = st.fractions(min_value=-4, max_value=4, max_denominator=6).map(Const)
 _exponents = st.sampled_from([-2, -1, 2, 3]).map(Fraction) | st.just(Fraction(1, 2))
 
 
-def _trees(depth):
+def _trees(depth, atoms=_atoms):
     if depth == 0:
-        return _atoms | _consts
-    sub_tree = _trees(depth - 1)
+        return atoms | _consts
+    sub_tree = _trees(depth - 1, atoms)
     return st.one_of(
-        _atoms,
+        atoms,
         _consts,
         st.tuples(sub_tree, sub_tree).map(lambda ab: Sum(ab)),
         st.tuples(sub_tree, sub_tree).map(lambda ab: Product(ab)),
@@ -256,3 +260,50 @@ def test_a_quotient_inverts_each_factor_of_its_divisor(raw, u, v, n):
     assert e == mul(a, *(pow_(b, -q) for b, q in u), pow_(v, -n)), text
     divisor = sp.Mul(*(to_sympy(b) ** q for b, q in u)) * to_sympy(v) ** n
     assert vanishes(to_sympy(e) - to_sympy(a) / divisor), text
+
+
+# a gauge function is over x and t; a Lagrangian over x, x' and t
+_gauge_atoms = st.sampled_from([X, T, FuncSym("f1"), ConstSym("a1")])
+_lagrangian_atoms = st.sampled_from([X, XDOT, T, FuncSym("f1"), ConstSym("a1")])
+
+
+def _unsigned(expr):
+    """sign(u) written u/|u|, as the kernel writes d|u|: a d/dt of sign(u)
+    would be a DiracDelta, which simplify does not drop."""
+    return expr.replace(sp.sign, lambda u: u / sp.Abs(u))
+
+
+def _euler_lagrange(L):
+    """dL/dx - d/dt dL/dx' of a SymPy Lagrangian, d/dt taken along a path."""
+    momentum = _unsigned(sp.diff(L, JETS["xdot"]))
+    return _unsigned(sp.diff(L, JETS["x"]) - _along_path(momentum))
+
+
+def _verdict(body):
+    """is_null of body on the default domain; a draw whose guards leave no
+    point to sample is rejected."""
+    try:
+        return is_null(Lagrangian(body)).verdict
+    except InfeasibleDomainError:
+        assume(False)
+
+
+@_oracle
+@given(_trees(2, _gauge_atoms))
+def test_the_lift_of_a_gauge_function_is_null(raw):
+    """dPhi/dt of a drawn gauge function Phi(x, t) is never NotNull."""
+    phi = _canonical_or_skip(raw)
+    assert _verdict(total_dt(phi)) is not NullVerdict.NOT_NULL, to_string(phi)
+
+
+@_oracle
+@given(_trees(2, _gauge_atoms), _trees(2, _lagrangian_atoms))
+def test_a_lifted_gauge_plus_a_term_is_null_as_sympy_says(raw_phi, raw_term):
+    """dPhi/dt + a drawn term is null exactly when SymPy's Euler-Lagrange
+    expression of it, with dPhi/dt taken along a path by SymPy, vanishes;
+    a Proven verdict needs it to simplify to 0."""
+    phi, term = _canonical_or_skip(raw_phi), _canonical_or_skip(raw_term)
+    verdict = _verdict(add(total_dt(phi), term))
+    residual = _euler_lagrange(_unsigned(_along_path(to_sympy(phi))) + to_sympy(term))
+    what = (to_string(phi), to_string(term), verdict)
+    assert vanishes(residual) is (verdict is not NullVerdict.NOT_NULL), what

@@ -171,7 +171,7 @@ def test_timedep_tie_constraint_round_trip():
         gamma = gamma_from_beta(beta)
         case = build_timedep(beta, gamma, domain=Domain(t=(1.0, 3.0)))
         I_fn = compile_expr(
-            mul(case.B, pow_(parse("B0"), -1)), ("t",), constants={"B0": 1.0}
+            bind_constants(mul(case.B, pow_(parse("B0"), -1)), {"B0": 1.0}), ("t",)
         )  # e^{I_beta}
         beta_fn = compile_expr(beta, ("t",))
         gamma_fn = compile_expr(gamma, ("t",))
@@ -263,7 +263,7 @@ def test_build_displacement_rejects_unrelated_gamma():
 def _explicit_fns(triple, constants):
     out = {}
     for route, eom in triple.routes().items():
-        out[route] = compile_expr(bind_constants(eom.explicit(), constants))
+        out[route] = compile_expr(bind_constants(eom.explicit(), constants), ("x", "xdot", "t"))
     return out
 
 

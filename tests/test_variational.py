@@ -32,6 +32,7 @@ from nullag import (
     sub,
     with_bump,
 )
+from oracles import bound
 
 
 def test_free_particle_residual_is_acceleration():
@@ -141,14 +142,14 @@ def test_null_pair_certification_rejects_bad_pair():
 def test_action_telescopes_for_constant_velocity_coefficient():
     L = Lagrangian(parse("c1*x'"))
     p = line_path(0.0, 1.0, 0.0, 2.0)
-    assert action(L, p, constants={"c1": 3.0}) == pytest.approx(6.0, abs=1e-10)
+    assert action(bound(L, constants={"c1": 3.0}), p) == pytest.approx(6.0, abs=1e-10)
 
 
 def test_action_equals_gauge_endpoint_difference():
     # gauge x^2 + t: endpoints (0,0) -> (1,1) give 2 - 0 = 2
     L = Lagrangian(parse("2*f1(t)*x*x' + f1(t)'*x^2 + f2(t)'"))
     p = line_path(0.0, 1.0, 0.0, 1.0)
-    value = action(L, p, funcs={"f1": parse("1"), "f2": parse("t")})
+    value = action(bound(L, funcs={"f1": parse("1"), "f2": parse("t")}), p)
     assert value == pytest.approx(2.0, abs=1e-10)
 
 
@@ -167,7 +168,7 @@ def test_action_of_certified_pair_telescopes_to_reconstructed_gauge():
     constants = {"a1": 1.5, "a2": 1.0, "a4": 2.0}
     phi_fn = compile_expr(bind_constants(phi.body, constants), ("x", "t"))
     p = line_path(0.0, 1.0, 0.7, 1.6)
-    value = action(pair.assembled(), p, constants=constants)
+    value = action(bound(pair.assembled(), constants=constants), p)
     endpoint_difference = phi_fn(p.x(1.0), 1.0) - phi_fn(p.x(0.0), 0.0)
     assert value == pytest.approx(endpoint_difference, abs=1e-10)
 
@@ -180,7 +181,7 @@ def test_path_independence_of_linear_family_instance():
     funcs = {"f1": parse("1"), "f2": parse("0"), "f3": parse("0"), "f4": parse("0")}
     base = line_path(0.0, 1.0, 0.5, 1.5)
     rep = path_independence_check(
-        L, base, with_bump(base, 0.1, 2), funcs=funcs
+        bound(L, funcs=funcs), base, with_bump(base, 0.1, 2)
     )
     assert rep.passed and rep.difference <= 1e-7
 
@@ -195,10 +196,9 @@ def test_path_dependence_of_kinetic_energy():
 def test_path_independence_requires_shared_endpoints():
     with pytest.raises(ValueError):
         path_independence_check(
-            Lagrangian(parse("c1*x'")),
+            bound(Lagrangian(parse("c1*x'")), constants={"c1": 1.0}),
             line_path(0.0, 1.0, 0.0, 1.0),
             line_path(0.0, 1.0, 0.0, 2.0),
-            constants={"c1": 1.0},
         )
 
 
@@ -222,12 +222,12 @@ def test_null_pairs_are_path_independent(corpus_pairs):
         "fraction_const": {"constants": {"a1": 1.0, "a2": 1.0, "a4": 2.0}},
     }
     for name, binding in concrete.items():
-        L = corpus_pairs[name].assembled()
+        L = bound(corpus_pairs[name].assembled(), **binding)
         for _ in range(10):
             x0, x1 = rng.uniform(0.6, 1.0), rng.uniform(1.2, 1.8)
             base = line_path(0.0, 1.0, x0, x1)
             bumped = with_bump(base, rng.uniform(0.02, 0.1), rng.choice((1, 2, 3)))
-            rep = path_independence_check(L, base, bumped, **binding)
+            rep = path_independence_check(L, base, bumped)
             assert rep.passed, (name, rep.difference)
 
 
