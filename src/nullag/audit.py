@@ -116,7 +116,7 @@ def audit_fraction_transcription(seed: int = 0) -> AuditFinding:
     antiderivative is the source of truth."""
     spec = FractionSpec(FuncSym("f1"), FuncSym("f2"), FuncSym("f3"), FuncSym("f4"))
     pair = build_nonstandard_null(spec, seed=seed)
-    machine_c_part = mul(X, pair.C)
+    machine_c_part = pair.xC
     reference_c_part = parse(
         "(f1(t)'*f2(t) - f1(t)*f2(t)')/f2(t)^2"
         "*(ln(abs(f2(t)*x + f3(t)*t + f4(t))) + (f3(t)*t + f4(t))/(f3(t)*x + f3(t)*t + f4(t)))"

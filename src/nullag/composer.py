@@ -40,7 +40,6 @@ from .domain import (
     sample_points,
     unique_guards,
 )
-from .construct import HarmonicLagrangian
 from .equivalence import EPS_EQ, N_EQ
 from .expr import (
     ConstSym,
@@ -169,7 +168,9 @@ def compose(F: Composer, L: Lagrangian, *, seed: int = 0) -> Lagrangian:
         try:
             sample = sample_points([L.body], L.domain, 1, rng, funcs=rounds[0])
             (row,), (inner,) = sample.rows, sample.functions
-            witness = {**sample.witness(row), "inner_value": float(inner(*row))}
+            # the point is a witness even where the inner Lagrangian overflows
+            witness = sample.witness(row)
+            witness["inner_value"] = float(inner(*row))
         except (ex.ExprError, ArithmeticError, ValueError):
             pass
         raise InfeasibleDomainError(
@@ -244,15 +245,15 @@ def composed_eom(F: Composer, L: Lagrangian) -> EquationOfMotion:
     return EquationOfMotion(residual, "composition", _composed_domain(F, L))
 
 
-def conservation_eom(null: NullPair | HarmonicLagrangian, *, seed: int = 0) -> EquationOfMotion:
+def conservation_eom(null: NullPair, *, seed: int = 0) -> EquationOfMotion:
     """Equation of motion from conserving a certified null Lagrangian (a
-    NullPair or a HarmonicLagrangian) along the motion:
+    NullPair, such as a harmonic) along the motion:
 
         d/dt L + xdot * E(L) = 0,
 
-    where E(L) is the Euler-Lagrange residual its certificate holds.  For a
-    pair this is B*xddot + (B_x*xdot + 2*B_t)*xdot + C_t*x + f' for every B,
-    C and f.  seed is unused; the benchmark's workloads still pass it."""
+    where E(L) is the Euler-Lagrange residual its certificate holds.  This
+    is B*xddot + (B_x*xdot + 2*B_t)*xdot + C_t*x + f' for every B, C and f.
+    seed is unused; the benchmark's workloads still pass it."""
     if null.certificate is None:
         raise NullCertificationFailed("conservation_eom requires a certified null Lagrangian")
     residual = add(total_dt(null.assembled().body), mul(XDOT, null.certificate.residual))

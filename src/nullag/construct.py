@@ -1,14 +1,15 @@
 """Construction of null Lagrangians from generating functions.
 
-A generating function B(x, t) determines a displacement coefficient C(x, t)
-through the condition d(xC)/dx = dB/dt; the assembled B*xdot + C*x + f(t)
-is then null.  Solving for C proves the null-condition residual
-dB/dt - d(xC)/dx zero, and a constructed pair is certified on that residual,
-judged once by null_report, so B and xC are differentiated once each.
-Binomial-weighted sums of spatial derivatives produce the higher harmonics,
-and fractional generating functions f1/(f2*x + f3*t + f4) produce the
-non-standard family, whose C-part needs antiderivatives of powers of linear
-forms and yields a logarithmic term.
+A generating function B(x, t) determines the paper's xC(x, t) through the
+condition d(xC)/dx = dB/dt; the assembled B*xdot + xC + f(t) is then null.
+Integrating for xC proves the null-condition residual dB/dt - d(xC)/dx
+zero, and a constructed pair keeps xC and is certified on that residual by
+NullPair.judged, so B and xC are differentiated once each.
+Binomial-weighted sums of spatial derivatives of B and xC produce the
+higher harmonics, each a NullPair judged the same way, and fractional
+generating functions f1/(f2*x + f3*t + f4) produce the non-standard family,
+whose C-part needs antiderivatives of powers of linear forms and yields a
+logarithmic term.
 
 Antidifferentiation is supported on the closed class used by these
 constructions (powers, exponentials with linear or logarithmic arguments,
@@ -20,7 +21,7 @@ integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -33,7 +34,6 @@ from .expr import (
     Sum,
     T,
     X,
-    XDOT,
     ZERO,
     add,
     apply_fn,
@@ -44,14 +44,7 @@ from .expr import (
     sub,
     to_string,
 )
-from .variational import (
-    GaugeFunction,
-    Lagrangian,
-    NullCertificationFailed,
-    NullPair,
-    NullReport,
-    null_report,
-)
+from .variational import GaugeFunction, NullCertificationFailed, NullPair
 
 HARMONIC_ORDER_CAP = 8
 
@@ -218,22 +211,22 @@ def solve_C(B: Expr) -> Expr:
     """Displacement coefficient C with d(xC)/dx = dB/dt.
 
     The additive function of t in xC is fixed to zero.  C may carry a g(t)/x
-    term; the assembled C*x stays regular at x = 0.  xC is verified by
+    term; the assembled xC stays regular at x = 0.  xC is verified by
     proving the null condition dB/dt - d(xC)/dx zero.
     """
-    return _solved(B)[0]
+    return mul(_solved(B)[0], pow_(X, -1))
 
 
 def _solved(B: Expr) -> tuple[Expr, Expr]:
-    """C and the null-condition residual dB/dt - d(xC)/dx that proves it,
-    the tree null_condition_residual(B, C) gives: dB/dt is integrated term
-    by term to xC, and the residual is the antiderivative's self-check."""
+    """xC and the null-condition residual dB/dt - d(xC)/dx that proves it:
+    dB/dt is integrated term by term to xC, and the residual is the
+    antiderivative's self-check."""
     B_t = diff(B, T)
     xC = _integral(B_t, X)
     residual = sub(B_t, diff(xC, X))
     if not ex.proven_zero(residual):
         raise _self_check_failed(B_t, ex.neg(residual))
-    return mul(xC, pow_(X, -1)), residual
+    return xC, residual
 
 
 def build_null(
@@ -244,9 +237,9 @@ def build_null(
     seed: int = 0,
 ) -> NullPair:
     """Certified NullPair generated by B with additive time term f, judged
-    on the residual that solving for C proved."""
-    C, residual = _solved(B)
-    return NullPair.judged(B, C, f, domain, residual, seed=seed)
+    on the residual that integrating for xC proved."""
+    xC, residual = _solved(B)
+    return NullPair.judged(B, xC, f, domain, residual, seed=seed)
 
 
 def weighted_B(e: Expr, n: int) -> Expr:
@@ -263,41 +256,32 @@ def weighted_B(e: Expr, n: int) -> Expr:
     return add(*parts)
 
 
-@dataclass(frozen=True)
-class HarmonicLagrangian:
-    """Order-n harmonic of a certified NullPair.
+@dataclass(frozen=True, kw_only=True)
+class HarmonicLagrangian(NullPair):
+    """Order-n harmonic of a certified NullPair base, itself a NullPair.
 
-    body = B_n * xdot + [xC]_n + f where B_n and [xC]_n are the
-    binomial-weighted spatial-derivative sums; satisfies the recursion
-    body(n) = body(n-1) + total_dt(B_{n-1}).
+    B and xC are the binomial-weighted spatial-derivative sums B_n and
+    [xC]_n of the base's, and f is the base's; the assembled Lagrangian
+    satisfies the recursion L(n) = L(n-1) + total_dt(B_{n-1}).
     """
 
     base: NullPair
     order: int
-    B_n: Expr
-    xC_n: Expr
-    body: Expr
-    certificate: NullReport | None = field(default=None, compare=False, repr=False)
+
+    # as_lagrangian and body are read only by the benchmark's workloads
+    # (ROADMAP item 1 Step 1 deletes both)
+    as_lagrangian = NullPair.assembled
 
     @property
-    def domain(self) -> Domain:
-        return self.base.domain
-
-    def assembled(self) -> Lagrangian:
-        """The body as a Lagrangian on the base pair's domain, as
-        NullPair.assembled() is for a pair; the certificate holds its
-        Euler-Lagrange residual."""
-        return Lagrangian(self.body, self.domain)
-
-    # the benchmark's workloads call the old name (ROADMAP item 1 Step 1)
-    as_lagrangian = assembled
+    def body(self) -> Expr:
+        return self.assembled().body
 
     def to_dict(self) -> dict:
         return {
             "order": self.order,
-            "B_n": to_string(self.B_n),
-            "xC_n": to_string(self.xC_n),
-            "lagrangian": to_string(self.body),
+            "B_n": to_string(self.B),
+            "xC_n": to_string(self.xC),
+            "lagrangian": to_string(self.assembled().body),
         }
 
 
@@ -309,15 +293,10 @@ def harmonic(base: NullPair, n: int, *, seed: int = 0) -> HarmonicLagrangian:
         raise ValueError(f"harmonic order {n} above cap {HARMONIC_ORDER_CAP}")
     if not base.is_certified:
         raise NullCertificationFailed("harmonic requires a certified NullPair")
-    B_n = weighted_B(base.B, n)
-    xC_n = weighted_B(mul(X, base.C), n)
-    body = add(mul(B_n, XDOT), xC_n, base.f)
-    # the null condition of (B_n, C_n): the Euler-Lagrange residual of body,
-    # tree for tree, from the xC_n already built
-    check = null_report(sub(diff(B_n, T), diff(xC_n, X)), base.domain, seed=seed)
-    if not check:
-        raise NullCertificationFailed(f"harmonic of order {n} failed nullity: {check.witness}")
-    return HarmonicLagrangian(base, n, B_n, xC_n, body, certificate=check)
+    B_n, xC_n = weighted_B(base.B, n), weighted_B(base.xC, n)
+    residual = sub(diff(B_n, T), diff(xC_n, X))
+    pair = NullPair.judged(B_n, xC_n, base.f, base.domain, residual, seed=seed)
+    return HarmonicLagrangian(B_n, xC_n, base.f, base.domain, pair.certificate, base=base, order=n)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +336,8 @@ def build_nonstandard_null(
     if guard not in domain.guards:
         domain = domain.with_guards(guard)
     B = mul(spec.f1, pow_(D, -1))
-    C, residual = _solved(B)
-    return NullPair.judged(B, C, f, domain, residual, seed=seed)
+    xC, residual = _solved(B)
+    return NullPair.judged(B, xC, f, domain, residual, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +345,14 @@ def build_nonstandard_null(
 
 
 def reconstruct_gauge(pair: NullPair) -> GaugeFunction | None:
-    """Gauge function phi with dphi/dx = B and dphi/dt = C*x + f, when B and
+    """Gauge function phi with dphi/dx = B and dphi/dt = xC + f, when B and
     the leftover time term are antidifferentiable in the supported class;
     returns None when the gauge cannot be reconstructed."""
     try:
         phi_x = antiderivative(pair.B, X)
     except AntiderivativeUnsupported:
         return None
-    leftover = sub(add(mul(pair.C, X), pair.f), diff(phi_x, T))
+    leftover = sub(add(pair.xC, pair.f), diff(phi_x, T))
     if not _varfree(leftover, X):
         return None
     if leftover == ZERO:

@@ -7,11 +7,12 @@ null when the Euler-Lagrange operator annihilates it identically, which is
 the case exactly when it is the total time derivative of a gauge function
 of (x, t).
 
-For L = B*xdot + C*x + f the Euler-Lagrange residual is the paper's null
-condition dB/dt - d(xC)/dx, tree for tree, so a pair (and a harmonic) is
-certified from that condition without assembling or differentiating L.
-null_report maps either residual to a verdict; is_null is null_report of
-the Euler-Lagrange residual.
+For L = B*xdot + xC + f the Euler-Lagrange residual is the paper's null
+condition dB/dt - d(xC)/dx, tree for tree, so a NullPair (a harmonic is
+one too) is certified from that condition, by NullPair.judged alone,
+without assembling or differentiating L.  A pair stores the paper's x*C;
+C is read off it.  null_report maps either residual to a verdict; is_null
+is null_report of the Euler-Lagrange residual.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 from . import expr as ex
@@ -34,6 +36,7 @@ from .expr import (
     compile_expr,
     diff,
     mul,
+    pow_,
     require_support,
     sub,
     to_string,
@@ -99,21 +102,23 @@ class GaugeFunction:
 
 @dataclass(frozen=True)
 class NullPair:
-    """Certified triple (B, C, f): B*xdot + C*x + f is a null Lagrangian.
+    """Certified triple (B, xC, f): B*xdot + xC + f is a null Lagrangian.
 
-    B is the velocity coefficient, C the displacement coefficient (both over
-    x and t), f a function of t alone.  Certification happens at
-    construction: `judged` maps the null-condition residual
-    dB/dt - d(xC)/dx through null_report once and keeps the NullReport
-    that decided it as `certificate`; its residual is the Euler-Lagrange
-    residual of the assembled Lagrangian.  A constructed pair is judged on
-    the residual its construction already proved zero while solving for C;
-    `certified` computes that residual for a given (B, C).  Direct
-    construction skips it (certificate None).
+    B is the velocity coefficient and xC the paper's x*C (both over x and
+    t), f a function of t alone; the displacement coefficient C is xC/x,
+    derived on its first read.  Certification happens at construction:
+    `judged` maps the null-condition residual dB/dt - d(xC)/dx through
+    null_report once and keeps the NullReport that decided it as
+    `certificate`; its residual is the Euler-Lagrange residual of the
+    assembled Lagrangian.  A constructed pair is judged on the residual its
+    construction already proved zero while integrating for xC; `certified`
+    computes that residual for a given (B, C) and stores x*C.  Direct
+    construction skips certification (certificate None).  A harmonic is a
+    NullPair too.
     """
 
     B: Expr
-    C: Expr
+    xC: Expr
     f: Expr = ZERO
     domain: Domain = DEFAULT_DOMAIN
     certificate: NullReport | None = field(default=None, compare=False, repr=False)
@@ -128,14 +133,14 @@ class NullPair:
         *,
         seed: int = 0,
     ) -> "NullPair":
-        """The pair judged on its null-condition residual, computed here."""
-        return cls.judged(B, C, f, domain, null_condition_residual(B, C), seed=seed)
+        """The pair of (B, C) judged on its null-condition residual, computed here."""
+        return cls.judged(B, mul(X, C), f, domain, null_condition_residual(B, C), seed=seed)
 
     @classmethod
     def judged(
         cls,
         B: Expr,
-        C: Expr,
+        xC: Expr,
         f: Expr,
         domain: Domain,
         residual: Expr,
@@ -143,12 +148,12 @@ class NullPair:
         seed: int = 0,
     ) -> "NullPair":
         """The pair judged on residual, which must be the tree
-        null_condition_residual(B, C) gives: a construction that has
-        already formed it passes it here rather than have it recomputed."""
-        for name, e, allowed in (("B", B, {"x", "t"}), ("C", C, {"x", "t"}), ("f", f, {"t"})):
+        dB/dt - d(xC)/dx: a construction that has already formed it passes
+        it here rather than have it recomputed."""
+        for name, e, allowed in (("B", B, {"x", "t"}), ("xC", xC, {"x", "t"}), ("f", f, {"t"})):
             require_support(e, allowed, name)
         # the null-condition residual is the Euler-Lagrange residual of
-        # B*xdot + C*x + f, tree for tree, so this one verdict certifies both
+        # B*xdot + xC + f, tree for tree, so this one verdict certifies both
         # and the Lagrangian is not assembled for it
         report = null_report(residual, domain, seed=seed)
         if not report:
@@ -156,23 +161,26 @@ class NullPair:
                 f"null condition violated: dB/dt - d(xC)/dx = {to_string(report.residual)}; "
                 f"witness {report.witness}"
             )
-        pair = cls(B, C, f, domain)
-        object.__setattr__(pair, "certificate", report)
-        return pair
+        return cls(B, xC, f, domain, report)
 
     @property
     def is_certified(self) -> bool:
         return self.certificate is not None
 
+    @cached_property
+    def C(self) -> Expr:
+        """The displacement coefficient xC/x."""
+        return mul(self.xC, pow_(X, -1))
+
     def assembled(self) -> Lagrangian:
-        """B*xdot + C*x + f as a Lagrangian, built on the first call and kept
+        """B*xdot + xC + f as a Lagrangian, built on the first call and kept
         outside the fields, so every call returns the same one; a certified
         pair's certificate holds its Euler-Lagrange residual."""
-        L = self.__dict__.get("_lagrangian")
-        if L is None:
-            L = Lagrangian(add(mul(self.B, XDOT), mul(self.C, X), self.f), self.domain)
-            object.__setattr__(self, "_lagrangian", L)
-        return L
+        return self._lagrangian
+
+    @cached_property
+    def _lagrangian(self) -> Lagrangian:
+        return Lagrangian(add(mul(self.B, XDOT), self.xC, self.f), self.domain)
 
     def to_dict(self) -> dict:
         return {

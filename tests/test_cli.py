@@ -170,6 +170,16 @@ def test_eom_compose_checks_the_range_guard(capsys):
     assert err.startswith("error: range guard of ln leaves no feasible points")
 
 
+def test_compose_names_a_witness_where_the_inner_lagrangian_overflows(capsys):
+    """10^400*e^x*x' overflows at every point: the sampled point is still
+    the witness, without the inner value it cannot give."""
+    code, out, err = run(capsys, "eom", "--B", "10^400*exp(x)", "--compose", "ln")
+    assert code == 2
+    assert out == ""
+    assert "witness {'point':" in err and "inner_value" not in err
+    assert "Traceback" not in err
+
+
 def test_system_constant_tied(capsys):
     code, report, _ = run_json(
         capsys, "system", "constant", "--alpha", "0", "--beta", "2", "--gamma", "1"

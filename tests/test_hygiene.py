@@ -253,3 +253,37 @@ def test_instantiate_calls_are_found():
         "instantiate in bound_body (line 7)",
     ]
     assert _instantiate_calls(source, "expr.py")[1] == "instantiate in sample_points (line 3)"
+
+
+# the one module that maps a residual to a nullity verdict: NullPair.judged
+# certifies every pair, a harmonic included, and is_null judges a Lagrangian
+CERTIFIER = "variational.py"
+
+
+def _null_report_calls(source: str) -> list[str]:
+    """Calls of null_report(...) or <module>.null_report(...)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "null_report":
+                found.append(f"null_report (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != CERTIFIER)
+)
+def test_only_the_certifier_calls_null_report(module):
+    assert _null_report_calls((PACKAGE / module).read_text()) == []
+
+
+def test_null_report_calls_are_found():
+    source = (
+        "from .variational import null_report\n"
+        "check = null_report(r, d, seed=0)\n"
+        "def f(r):\n"
+        "    return variational.null_report(r, DEFAULT_DOMAIN), is_null(r), null_reports(r)\n"
+    )
+    assert _null_report_calls(source) == ["null_report (line 2)", "null_report (line 4)"]

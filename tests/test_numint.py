@@ -169,7 +169,7 @@ def test_trajectory_and_invariant_values_are_float_tuples():
 def test_drift_keeps_a_nan_invariant_value():
     # 1e300*x^2 overflows to inf at x = 1e10, and inf - inf is nan
     traj = Trajectory((1.0, 1e10), (1.0, 1e10), (0.0, 0.0), 1.0)
-    rep = drift(NullPair(ZERO, parse("10^300*x"), parse("-10^300*t^2")), traj)
+    rep = drift(NullPair(ZERO, parse("10^300*x^2"), parse("-10^300*t^2")), traj)
     assert math.isnan(rep.max_abs_drift) and not rep.passed
 
 

@@ -23,6 +23,7 @@ from nullag import (  # noqa: E402
     InfeasibleDomainError,
     JetSym,
     Lagrangian,
+    LeadingCoefficientVanishes,
     NullVerdict,
     Power,
     Product,
@@ -34,7 +35,9 @@ from nullag import (  # noqa: E402
     add,
     antiderivative,
     apply_fn,
+    build_null,
     canonicalize,
+    conservation_eom,
     diff,
     is_null,
     mul,
@@ -307,3 +310,26 @@ def test_a_lifted_gauge_plus_a_term_is_null_as_sympy_says(raw_phi, raw_term):
     residual = _euler_lagrange(_unsigned(_along_path(to_sympy(phi))) + to_sympy(term))
     what = (to_string(phi), to_string(term), verdict)
     assert vanishes(residual) is (verdict is not NullVerdict.NOT_NULL), what
+
+
+@_oracle
+@given(_trees(2, _gauge_atoms))
+def test_the_conservation_route_solves_sympys_d_dt_of_the_null_lagrangian(raw):
+    """conservation_eom(build_null(B)).explicit() is SymPy's x'' of
+    d/dt L_null = 0, with d/dt taken along a path by SymPy; where the kernel
+    finds no x'' term, SymPy's B, the x'' coefficient, vanishes."""
+    B = _canonical_or_skip(raw)
+    try:
+        pair = build_null(B)
+    except AntiderivativeUnsupported:
+        assume(False)
+    what = (to_string(B), to_string(pair.xC))
+    L = to_sympy(B) * JETS["xdot"] + to_sympy(pair.xC)
+    d_dt = _unsigned(_along_path(L))
+    lead = d_dt.diff(JETS["xddot"])
+    try:
+        explicit = conservation_eom(pair).explicit()
+    except LeadingCoefficientVanishes:
+        assert vanishes(_unsigned(to_sympy(B))), what
+        return
+    assert_same(explicit, -d_dt.subs(JETS["xddot"], 0) / lead, what)

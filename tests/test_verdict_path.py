@@ -92,7 +92,7 @@ def test_null_condition_is_the_euler_lagrange_residual_on_the_corpus(corpus_pair
 def test_null_condition_is_the_euler_lagrange_residual_on_generated_pairs(text, f):
     B = parse(text)
     C = solve_C(B)
-    pair = NullPair(B, C, parse(f))
+    pair = NullPair(B, mul(X, C), parse(f))
     assert null_condition_residual(B, C) == euler_lagrange_residual(pair.assembled())
 
 
@@ -102,10 +102,29 @@ def test_null_condition_is_the_euler_lagrange_residual_of_drawn_non_null_pairs(b
     # a drawn C is rarely null with B, so both sides are nonzero trees here,
     # for the pair and for the order-n sums a harmonic judges
     B, C, f = parse(b), parse(c), parse(f)
-    assert null_condition_residual(B, C) == euler_lagrange_residual(NullPair(B, C, f).assembled())
+    assert null_condition_residual(B, C) == euler_lagrange_residual(NullPair(B, mul(X, C), f).assembled())
     B_n, xC_n = weighted_B(B, n), weighted_B(mul(X, C), n)
     body = add(mul(B_n, XDOT), xC_n, f)
     assert sub(diff(B_n, T), diff(xC_n, X)) == euler_lagrange_residual(body)
+
+
+@given(generating_functions, generating_functions, _additive)
+def test_stored_xC_gives_the_old_formulas_for_a_pair(b, c, f):
+    # a pair stores the paper's x*C; the C and the Lagrangian read off it are
+    # the trees of the formulas that read C, for null and non-null pairs alike
+    B, C, f = parse(b), parse(c), parse(f)
+    pair = NullPair(B, mul(X, C), f)
+    assert pair.C == C
+    assert pair.assembled().body == add(mul(B, XDOT), mul(C, X), f)
+
+
+@given(generating_functions, _additive, st.integers(0, 3))
+def test_stored_xC_gives_the_old_formulas_for_a_harmonic(text, f, n):
+    pair = build_null(parse(text), parse(f))
+    h = harmonic(pair, n)
+    assert h.certificate.residual == null_condition_residual(h.B, h.C)
+    body = add(mul(weighted_B(pair.B, n), XDOT), weighted_B(mul(X, pair.C), n), pair.f)
+    assert h.assembled().body == body
 
 
 @given(generating_functions, st.sampled_from(("0", "f4(t)", "t^2")), st.integers(0, 3))
@@ -219,10 +238,10 @@ def test_a_certified_pair_returns_the_lagrangian_it_judged():
     L = pair.assembled()
     assert pair.certificate.residual == euler_lagrange_residual(L)
     assert pair.assembled() is L
-    # kept outside the fields: equality, hash and repr see only B, C, f, domain
-    raw = NullPair(pair.B, pair.C, pair.f, pair.domain)
+    # kept outside the fields: equality, hash and repr see only B, xC, f, domain
+    raw = NullPair(pair.B, pair.xC, pair.f, pair.domain)
     assert raw == pair and hash(raw) == hash(pair) and repr(raw) == repr(pair)
-    assert [f.name for f in fields(NullPair)] == ["B", "C", "f", "domain", "certificate"]
+    assert [f.name for f in fields(NullPair)] == ["B", "xC", "f", "domain", "certificate"]
     assert raw.assembled() == L and raw.assembled() is raw.assembled()
 
 
